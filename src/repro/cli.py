@@ -10,8 +10,6 @@ subcommands::
     python -m repro fig1
     python -m repro topology daisy
     python -m repro cache stats                 # persistent run cache
-    python -m repro bench --quick               # data-path perf cells
-    python -m repro engine-bench --quick        # event-engine queue cells
     python -m repro chaos --verify-inert        # fault-injection grid
     python -m repro pdes-chaos --quick          # worker-kill grid (PDES)
     python -m repro profile --export trace.json # span tracing / crit path
@@ -351,98 +349,6 @@ def _cmd_cache(args: argparse.Namespace) -> int:
         print(f"verified {ok} entr{'y' if ok == 1 else 'ies'}; "
               f"removed {removed} corrupt")
         return 1 if removed else 0
-    return 0
-
-
-def _cmd_bench(args: argparse.Namespace) -> int:
-    from repro.harness.bench import (
-        HEADLINE_CELL,
-        render_bench,
-        run_bench,
-        write_bench,
-    )
-
-    doc = run_bench(quick=args.quick, seed=args.seed)
-    print(render_bench(doc))
-    if args.out:
-        write_bench(doc, args.out)
-        print(f"\nwrote {args.out}")
-    if args.fail_below is not None:
-        speedup = doc["cells"][HEADLINE_CELL]["speedup"]
-        if speedup < args.fail_below:
-            print(
-                f"FAIL: {HEADLINE_CELL} speedup {speedup:.2f}x is below "
-                f"--fail-below {args.fail_below:.2f}x"
-            )
-            return 1
-    return 0
-
-
-def _cmd_engine_bench(args: argparse.Namespace) -> int:
-    from repro.harness.engine_bench import (
-        HEADLINE_CELL,
-        render_engine_bench,
-        run_engine_bench,
-        validate_engine_bench,
-        write_bench,
-    )
-
-    if args.validate:
-        import json
-
-        with open(args.validate) as fh:
-            doc = json.load(fh)
-        n_cells = validate_engine_bench(doc)
-        print(f"{args.validate}: valid ({n_cells} cells)")
-        return 0
-    doc = run_engine_bench(quick=args.quick, seed=args.seed)
-    print(render_engine_bench(doc))
-    if args.out:
-        write_bench(doc, args.out)
-        print(f"\nwrote {args.out}")
-    if args.fail_below is not None:
-        speedup = doc["cells"][HEADLINE_CELL]["speedup"]
-        if speedup < args.fail_below:
-            print(
-                f"FAIL: {HEADLINE_CELL} speedup {speedup:.2f}x is below "
-                f"--fail-below {args.fail_below:.2f}x"
-            )
-            return 1
-    return 0
-
-
-def _cmd_pdes_bench(args: argparse.Namespace) -> int:
-    from repro.harness.pdes import (
-        render_pdes_bench,
-        run_pdes_bench,
-        validate_pdes_bench,
-        write_bench,
-    )
-
-    if args.validate:
-        import json
-
-        with open(args.validate) as fh:
-            doc = json.load(fh)
-        n_cells = validate_pdes_bench(doc)
-        print(f"{args.validate}: valid ({n_cells} cells)")
-        return 0
-    doc = run_pdes_bench(quick=args.quick, seed=args.seed)
-    print(render_pdes_bench(doc))
-    if args.out:
-        write_bench(doc, args.out)
-        print(f"\nwrote {args.out}")
-    if args.fail_below is not None:
-        headline = doc["cells"][doc["headline"]]
-        largest = max(headline["pooled"], key=int)
-        speedup = headline["pooled"][largest]["speedup_critical_path"]
-        if speedup < args.fail_below:
-            print(
-                f"FAIL: {doc['headline']} P={largest} critical-path "
-                f"speedup {speedup:.2f}x is below "
-                f"--fail-below {args.fail_below:.2f}x"
-            )
-            return 1
     return 0
 
 
@@ -898,85 +804,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("fig4", help="IB message-size sweep").set_defaults(
         func=_cmd_fig4
     )
-
-    bench = sub.add_parser(
-        "bench",
-        help="data-path wall-clock benchmark: reference vs vectorized",
-    )
-    bench.add_argument("--quick", action="store_true")
-    bench.add_argument(
-        "--out",
-        default=None,
-        metavar="PATH",
-        help="write results as JSON (e.g. BENCH_datapath.json)",
-    )
-    bench.add_argument(
-        "--fail-below",
-        type=float,
-        default=None,
-        metavar="RATIO",
-        help="exit 1 if the headline cell's speedup is below RATIO "
-        "(CI uses 1.0: fail only on regression)",
-    )
-    add_seed_flag(bench)
-    bench.set_defaults(func=_cmd_bench)
-
-    engine_bench = sub.add_parser(
-        "engine-bench",
-        help="event-engine microbenchmark: heap vs calendar queue",
-    )
-    engine_bench.add_argument("--quick", action="store_true")
-    engine_bench.add_argument(
-        "--out",
-        default=None,
-        metavar="PATH",
-        help="write results as JSON (e.g. BENCH_engine.json)",
-    )
-    engine_bench.add_argument(
-        "--fail-below",
-        type=float,
-        default=None,
-        metavar="RATIO",
-        help="exit 1 if the cohort-fire cell's speedup is below RATIO",
-    )
-    engine_bench.add_argument(
-        "--validate",
-        default=None,
-        metavar="PATH",
-        help="schema-check an existing BENCH_engine.json and exit "
-        "(no benchmark run)",
-    )
-    add_seed_flag(engine_bench)
-    engine_bench.set_defaults(func=_cmd_engine_bench)
-
-    pdes_bench = sub.add_parser(
-        "pdes-bench",
-        help="partitioned-engine benchmark: serial vs pooled PDES",
-    )
-    pdes_bench.add_argument("--quick", action="store_true")
-    pdes_bench.add_argument(
-        "--out",
-        default=None,
-        metavar="PATH",
-        help="write results as JSON (e.g. BENCH_pdes.json)",
-    )
-    pdes_bench.add_argument(
-        "--fail-below",
-        type=float,
-        default=None,
-        metavar="RATIO",
-        help="exit 1 if the headline cell's critical-path speedup at "
-        "the largest partition count is below RATIO",
-    )
-    pdes_bench.add_argument(
-        "--validate",
-        default=None,
-        metavar="PATH",
-        help="schema-check an existing BENCH_pdes.json and exit "
-        "(no benchmark run)",
-    )
-    add_seed_flag(pdes_bench)
-    pdes_bench.set_defaults(func=_cmd_pdes_bench)
 
     tune = sub.add_parser(
         "tune",

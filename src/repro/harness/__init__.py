@@ -7,22 +7,6 @@ over worker processes, and :mod:`~repro.harness.experiments` defines
 the paper's tables/figures on top of both.
 """
 
-from repro.harness.bench import (
-    HEADLINE_CELL,
-    render_bench,
-    run_bench,
-    write_bench,
-)
-from repro.harness.engine_bench import (
-    render_engine_bench,
-    run_engine_bench,
-    validate_engine_bench,
-)
-from repro.harness.pdes import (
-    render_pdes_bench,
-    run_pdes_bench,
-    validate_pdes_bench,
-)
 from repro.harness.cache import (
     RunCache,
     cache_enabled,
@@ -91,16 +75,6 @@ __all__ = [
     "render_chaos",
     "run_chaos_cell",
     "verify_inert",
-    "run_bench",
-    "render_bench",
-    "write_bench",
-    "run_engine_bench",
-    "render_engine_bench",
-    "validate_engine_bench",
-    "run_pdes_bench",
-    "render_pdes_bench",
-    "validate_pdes_bench",
-    "HEADLINE_CELL",
     "ProfileResult",
     "run_profile",
     "run_key",

@@ -259,6 +259,12 @@ class WorkerFleet:
         return future
 
     # -- reaper -----------------------------------------------------------
+    # Ownership: whichever thread removes a worker from ``_workers``
+    # (under the lock) is the only one that stops its process or closes
+    # its connection — the reaper for deaths and deadline kills, the
+    # draining thread for everything it takes, closing those only after
+    # the reaper has exited.  A job is resolved by whichever thread
+    # clears ``worker.job`` first, so no future resolves twice.
     def _reap_loop(self) -> None:
         while True:
             with self._lock:
@@ -270,11 +276,7 @@ class WorkerFleet:
             if not conns:
                 time.sleep(_REAP_POLL_S)
                 continue
-            try:
-                ready = _wait_connections(list(conns), timeout=_REAP_POLL_S)
-            except (OSError, ValueError):
-                # A connection was closed under us mid-drain; re-snapshot.
-                continue
+            ready = _wait_connections(list(conns), timeout=_REAP_POLL_S)
             now = time.monotonic()
             for conn in ready:
                 worker = conns[conn]
@@ -308,74 +310,65 @@ class WorkerFleet:
         with self._lock:
             job = worker.job
             worker.job = None  # the death path owns it from here
-            self._workers.pop(worker.index, None)
-            closing = self._closing
-        worker.process.join(timeout=5.0)
-        try:
+            owned = self._workers.pop(worker.index, None) is not None
+        if owned:
+            worker.process.join(timeout=5.0)
             worker.conn.close()
-        except OSError:  # pragma: no cover - already closed
-            pass
         if job is not None:
-            tag, spec, future, _ = job
-            crashed = WorkerCrashed(
-                tag, f"{spec.framework}:{spec.app}:{spec.dataset}"
+            self._fail_crashed(worker, job)
+        if owned:
+            self._respawn()
+
+    def _fail_crashed(self, worker: _Worker, job) -> None:
+        tag, spec, future, _ = job
+        future.set_result(
+            FleetResult(
+                cell=CellResult(
+                    spec,
+                    "crashed",
+                    error="fleet worker died without reporting a result",
+                ),
+                worker=worker.index,
+                failure=WorkerCrashed(
+                    tag, f"{spec.framework}:{spec.app}:{spec.dataset}"
+                ),
             )
-            future.set_result(
-                FleetResult(
-                    cell=CellResult(
-                        spec,
-                        "crashed",
-                        error="fleet worker died without reporting a result",
-                    ),
-                    worker=worker.index,
-                    failure=crashed,
-                )
-            )
-        if not closing:
-            with self._lock:
-                index = self._next_index
-                self._next_index += 1
-                self._workers[index] = self._spawn(index)
-                self.respawns += 1
-            self._notify_idle()
+        )
+
+    def _respawn(self) -> None:
+        with self._lock:
+            if self._closing:
+                return
+            index = self._next_index
+            self._next_index += 1
+            self._workers[index] = self._spawn(index)
+            self.respawns += 1
+        self._notify_idle()
 
     def _check_deadlines(self, now: float) -> None:
         expired = []
         with self._lock:
-            for worker in self._workers.values():
+            for worker in list(self._workers.values()):
                 if worker.job is not None and worker.job[3] is not None:
                     if now > worker.job[3]:
-                        expired.append(worker)
-        for worker in expired:
-            with self._lock:
-                job = worker.job
-                worker.job = None
-                self._workers.pop(worker.index, None)
-            worker.process.terminate()
-            worker.process.join(timeout=1.0)
-            if worker.process.is_alive():  # pragma: no cover
-                worker.process.kill()
-                worker.process.join(timeout=5.0)
+                        expired.append((worker, worker.job))
+                        worker.job = None
+                        del self._workers[worker.index]
+        for worker, job in expired:
+            _stop_process(worker.process)
             worker.conn.close()
-            if job is not None:
-                _, spec, future, _ = job
-                future.set_result(
-                    FleetResult(
-                        cell=CellResult(
-                            spec,
-                            "timeout",
-                            error="exceeded the per-cell deadline",
-                        ),
-                        worker=worker.index,
-                    )
+            _, spec, future, _ = job
+            future.set_result(
+                FleetResult(
+                    cell=CellResult(
+                        spec,
+                        "timeout",
+                        error="exceeded the per-cell deadline",
+                    ),
+                    worker=worker.index,
                 )
-            with self._lock:
-                if not self._closing:
-                    index = self._next_index
-                    self._next_index += 1
-                    self._workers[index] = self._spawn(index)
-                    self.respawns += 1
-            self._notify_idle()
+            )
+            self._respawn()
 
     def _notify_idle(self) -> None:
         if self.on_idle is not None:
@@ -389,40 +382,56 @@ class WorkerFleet:
         """Let in-flight cells finish, then stop every worker.
 
         Busy workers get up to ``grace_s`` to report; survivors are
-        terminated.  Safe to call more than once.
+        terminated and their cells resolve as crashed.  Safe to call
+        more than once.
         """
         with self._lock:
             self._closing = True
         deadline = time.monotonic() + grace_s
         while time.monotonic() < deadline and self.busy_count:
             time.sleep(0.05)
-        with self._lock:
-            workers = list(self._workers.values())
-            self._workers.clear()
-        for worker in workers:
-            try:
-                worker.conn.send(None)
-            except (OSError, BrokenPipeError):
-                pass
-        for worker in workers:
-            worker.process.join(timeout=2.0)
-            if worker.process.is_alive():
-                worker.process.terminate()
-                worker.process.join(timeout=2.0)
-            if worker.process.is_alive():  # pragma: no cover
-                worker.process.kill()
-                worker.process.join(timeout=2.0)
-            worker.conn.close()
-        self._reaper.join(timeout=5.0)
+        self._stop(graceful=True)
 
     def kill(self) -> None:
         """Hard stop: no grace, no sentinels."""
         with self._lock:
             self._closing = True
+        self._stop(graceful=False)
+
+    def _stop(self, graceful: bool) -> None:
+        with self._lock:
             workers = list(self._workers.values())
             self._workers.clear()
+        if graceful:
+            for worker in workers:
+                try:
+                    worker.conn.send(None)
+                except OSError:
+                    pass
         for worker in workers:
-            worker.process.kill()
-            worker.process.join(timeout=5.0)
+            if graceful:
+                _stop_process(worker.process, grace_s=2.0)
+            else:
+                worker.process.kill()
+                worker.process.join(timeout=5.0)
+        # With ``_workers`` empty and ``_closing`` set the reaper exits
+        # within one poll; after that this thread alone touches these
+        # connections and any job the reaper did not resolve.
+        self._reaper.join()
+        for worker in workers:
             worker.conn.close()
-        self._reaper.join(timeout=5.0)
+            with self._lock:
+                job = worker.job
+                worker.job = None
+            if job is not None:
+                self._fail_crashed(worker, job)
+
+
+def _stop_process(process, grace_s: float = 0.0) -> None:
+    """Wait ``grace_s`` for ``process`` to exit, then SIGTERM, then SIGKILL."""
+    process.join(timeout=grace_s)
+    for signal_process in (process.terminate, process.kill):
+        if not process.is_alive():
+            return
+        signal_process()
+        process.join(timeout=2.0)

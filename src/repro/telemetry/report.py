@@ -10,7 +10,7 @@ vs. idle per GPU) computed from a run's recorded spans:
 * :func:`imbalance_stats` — the load-imbalance diagnostics
   (max/mean factor, coefficient of variation) over per-rank busy time;
 * :func:`phase_breakdown` — the compact whole-run category→us summary
-  the bench and chaos harnesses attach next to their digests.
+  the chaos harness attaches next to its digests.
 """
 
 from __future__ import annotations
@@ -91,8 +91,8 @@ def imbalance_stats(
 def phase_breakdown(telemetry: Telemetry, makespan: float) -> dict[str, float]:
     """Whole-run category → total simulated us, summed over ranks.
 
-    The compact summary attached next to digests in the bench document
-    and the chaos/crash grid cells ("where did the time go").
+    The compact summary attached next to the digests of the chaos/crash
+    grid cells ("where did the time go").
     """
     per_rank = rank_breakdown(telemetry, makespan)
     out: dict[str, float] = {}

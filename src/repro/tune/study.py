@@ -29,7 +29,6 @@ from typing import Any, Optional
 
 from repro.config import wait_time_for
 from repro.errors import ConfigError
-from repro.harness.bench import write_bench
 from repro.harness.cache import code_fingerprint, get_cache
 from repro.metrics.tables import format_cache_line
 from repro.tune.evaluate import EvaluationEngine
@@ -671,3 +670,10 @@ def validate_tune_bench(doc: dict) -> int:
             if not cell["sensitivity"]:
                 raise ValueError(f"fig4.{app}: empty sensitivity sweep")
     return len(trials)
+
+
+def write_bench(doc: dict, path: str) -> None:
+    """Write a study document as pretty-printed JSON to ``path``."""
+    with open(path, "w") as fh:
+        json.dump(doc, fh, indent=2, sort_keys=False)
+        fh.write("\n")

@@ -8,18 +8,20 @@ the same cell: same counters, same output vector, same simulated
 makespan.  Covered axes: app (BFS / PageRank), partition count
 (1 / 2 / 4), fault plan (clean / chaos / crash-with-recovery).
 
-Everything runs on a small RMAT graph so the full matrix stays in
-tier-1 time; the committed ``BENCH_pdes.json`` pins the same contract
-on the real evaluation datasets.
+The full matrix runs on a small RMAT graph so it stays in tier-1
+time; one real evaluation cell (road-usa, summit-ib, 4 GPUs; BFS and
+PageRank) pins the same contract at P = 2 and 4 on a dataset the
+paper uses.
 """
 
 import pytest
 
 from repro.faults import CrashEvent, FaultPlan
 from repro.frameworks.atos import AtosDriver
+from repro.graph import bfs_source, load
 from repro.graph.generators import rmat
 from repro.graph.partition import random_partition
-from repro.harness.runner import get_machine
+from repro.harness.runner import get_machine, get_partition
 from repro.runtime import run_partitioned
 from repro.runtime.executor import AtosConfig
 from repro.sim.partition import WindowStats
@@ -114,3 +116,37 @@ def test_local_and_pooled_agree_window_for_window(cell, app):
         local_stats.idle_partition_windows
         == pooled_stats.idle_partition_windows
     )
+
+
+@pytest.fixture(scope="module", params=["bfs", "pagerank"])
+def road_usa(request):
+    """An evaluation cell (road-usa, summit-ib, 4 GPUs) and its serial run."""
+    app = request.param
+    graph = load("road-usa")
+    partition = get_partition("road-usa", 4)
+    machine = get_machine("summit-ib", 4)
+    driver = AtosDriver()
+    if app == "bfs":
+        serial = driver.run_bfs(
+            graph, partition, bfs_source("road-usa"), machine,
+            dataset="road-usa",
+        )
+    else:
+        serial = driver.run_pagerank(
+            graph, partition, machine, epsilon=EPSILON, dataset="road-usa"
+        )
+    return app, (graph, partition, machine), serial
+
+
+@pytest.mark.parametrize("n", [2, 4])
+def test_digest_equality_on_evaluation_cell(road_usa, n):
+    # The local driver stands in for both: local == pooled is pinned
+    # above, window for window.
+    app, cell, serial = road_usa
+    graph, partition, machine = cell
+    result = run_partitioned(
+        app, graph, partition, machine,
+        n_partitions=n, driver="local", source=bfs_source("road-usa"),
+        epsilon=EPSILON, dataset="road-usa",
+    )
+    assert result.digest() == serial.digest()

@@ -102,6 +102,7 @@ GOLDEN_SPECS = [
             "summit-ib", 4),
     RunSpec("atos-standard-persistent", "pagerank", "hollywood-2009",
             "summit-ib", 2),
+    RunSpec("atos-standard-persistent", "bfs", "road-usa", "summit-ib", 4),
 ]
 
 

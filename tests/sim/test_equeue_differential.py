@@ -12,6 +12,8 @@ changes when it is switched on.  This suite pins that at three levels:
   message chaos, fail-stop crash + recovery), and the calendar's
   cohort-batched fast loop against the one-``step()``-per-event
   reference loop;
+* **end to end** — identical :meth:`RunResult.digest` for an evaluation
+  cell (a real dataset) run through the harness on each queue;
 * **grid level** — the chaos and recovery inertness guarantees
   (zero-fault plans trace-identical to no plan; crash-free runs
   recovery-inert) hold under ``REPRO_ENGINE_QUEUE=calendar`` too.
@@ -27,6 +29,7 @@ from repro.config import daisy
 from repro.faults import CrashEvent, FaultPlan
 from repro.graph import bfs_grow_partition, largest_component_vertex, rmat
 from repro.apps import AtosBFS, AtosPageRank
+from repro.harness import clear_memory_cache, run
 from repro.harness.chaos import (
     ChaosSpec,
     trace_digest_for,
@@ -158,6 +161,29 @@ def test_golden_digest_identical_heap_vs_calendar(
     calendar = _traced(app_factory, config, "calendar")
     assert heap[1] > 0
     assert heap == calendar
+
+
+#: Evaluation cells (framework, app, dataset, machine, GPUs) that must
+#: digest identically on both queues through the full harness path.
+EVALUATION_CELLS = [
+    ("atos-standard-persistent", "bfs", "road-usa", "summit-ib", 4),
+]
+
+
+@pytest.mark.parametrize(
+    "cell", EVALUATION_CELLS, ids=lambda c: "/".join(map(str, c[1:]))
+)
+def test_evaluation_cell_digest_identical_heap_vs_calendar(cell, monkeypatch):
+    # Cache off and memo cleared: neither key includes the queue, so a
+    # hit would equalize the digests being compared.
+    monkeypatch.setenv("REPRO_CACHE", "0")
+    digests = {}
+    for queue in ("heap", "calendar"):
+        monkeypatch.setenv(ENGINE_QUEUE_ENV, queue)
+        clear_memory_cache()
+        digests[queue] = run(*cell).digest()
+    clear_memory_cache()
+    assert digests["heap"] == digests["calendar"]
 
 
 @pytest.mark.parametrize("app_factory,config", APPS)
