@@ -972,13 +972,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     serve = sub.add_parser(
         "serve",
-        help="simulation-as-a-service: HTTP front end over a warm "
-        "worker fleet",
+        help="simulation-as-a-service: HTTP front end over a "
+        "fork-per-cell worker pool",
     )
     add_endpoint_flags(serve)
     serve.add_argument(
         "--workers", type=int, default=2,
-        help="persistent warm worker processes (default 2)",
+        help="cells run at once, each in its own forked worker "
+        "process (default 2)",
     )
     serve.add_argument(
         "--max-queue", type=int, default=64,

@@ -72,20 +72,18 @@ class PartitionWorkerLost(SimulationError):
 
 
 class WorkerCrashed(ReproError):
-    """A serve-fleet worker died while executing a job.
+    """A pool worker process died while running a cell.
 
-    Attached to the fleet's result (and threaded through the service's
-    retry path) instead of a bare "crashed" string, carrying what the
-    retry/quarantine policy needs: which job (``tag``), which spec
-    (``spec_key``), and which attempt this was.
+    :attr:`repro.harness.pool.CellResult.failure` of a cell that
+    resolved ``crashed`` (pipe EOF: segfault, OOM-kill, ``os._exit``),
+    threaded through the service's retry and quarantine policy, and
+    carrying which spec (``spec_key``) and which attempt this was.
     """
 
-    def __init__(self, tag: int, spec_key: str, attempt: int = 1):
+    def __init__(self, spec_key: str, attempt: int = 1):
         super().__init__(
-            f"fleet worker crashed on job #{tag} ({spec_key}), "
-            f"attempt {attempt}"
+            f"worker crashed running {spec_key}, attempt {attempt}"
         )
-        self.tag = tag
         self.spec_key = spec_key
         self.attempt = attempt
 

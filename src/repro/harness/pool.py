@@ -2,13 +2,14 @@
 
 The evaluation grid is embarrassingly parallel — every (framework, app,
 dataset, machine, #GPUs) cell is an independent deterministic
-simulation — so the pool simply runs each cell in its own
-``multiprocessing`` process, up to ``jobs`` at a time.  Echoing the
-paper's scheduling philosophy, consistency is decoupled from
-synchronization: workers share nothing but the persistent run cache
-(whose atomic writes make concurrent stores benign), and the parent
-reassembles results in *spec order* regardless of completion order, so
-pooled output is bit-identical to a serial run.
+simulation — so :class:`WorkerPool` simply runs each cell in its own
+forked process.  Echoing the paper's scheduling philosophy,
+consistency is decoupled from synchronization: workers share nothing
+but the persistent run cache (whose atomic writes make concurrent
+stores benign), and :func:`run_grid` reassembles results in *spec
+order* regardless of completion order, so pooled output is
+bit-identical to a serial run.  ``repro serve`` drives the same pool
+from its reaper thread.
 
 Failure isolation is per cell: a worker that raises reports the
 traceback, a worker that exceeds its deadline is killed, and a worker
@@ -35,12 +36,15 @@ from dataclasses import dataclass
 from multiprocessing.connection import wait as _wait_connections
 from typing import Any, Callable, Iterable, Optional, Sequence
 
+from repro.errors import WorkerCrashed
+
 __all__ = [
     "JOBS_ENV",
     "RunSpec",
     "CellResult",
     "GridFailure",
     "GridInterrupted",
+    "WorkerPool",
     "resolve_jobs",
     "grid_specs",
     "execute_spec",
@@ -51,8 +55,8 @@ __all__ = [
 #: Environment variable giving the default worker count.
 JOBS_ENV = "REPRO_JOBS"
 
-#: Poll interval (s) for the supervisor loop: how often result pipes
-#: are re-waited and per-cell deadlines are checked.
+#: Default :meth:`WorkerPool.poll` wait (s): how often per-cell
+#: deadlines are checked while no pipe is ready.
 _REAP_POLL_S = 0.05
 
 
@@ -104,6 +108,18 @@ class CellResult:
     @property
     def ok(self) -> bool:
         return self.status == "ok"
+
+    @property
+    def failure(self) -> Optional[WorkerCrashed]:
+        """Set when the worker *process* died under the cell.
+
+        The typed signal retry and quarantine key on, as opposed to an
+        in-worker exception (``error``, deterministic, never retried).
+        """
+        if self.status != "crashed":
+            return None
+        spec = self.spec
+        return WorkerCrashed(f"{spec.framework}:{spec.app}:{spec.dataset}")
 
 
 class GridFailure(RuntimeError):
@@ -209,21 +225,22 @@ def _worker_main(conn, spec: RunSpec, run_fn: Callable[[RunSpec], Any]) -> None:
         conn.close()
 
 
-@dataclass
-class _LiveWorker:
-    index: int
-    process: Any
-    conn: Any
-    started: float
-    deadline: Optional[float]
-
-
 def _mp_context():
     """Prefer fork (cheap, inherits warm module state); fall back to spawn."""
     methods = multiprocessing.get_all_start_methods()
     return multiprocessing.get_context(
         "fork" if "fork" in methods else "spawn"
     )
+
+
+def _stop_process(process, grace_s: float = 0.0) -> None:
+    """Wait ``grace_s`` for ``process`` to exit, then SIGTERM, then SIGKILL."""
+    process.join(timeout=grace_s)
+    for signal_process in (process.terminate, process.kill):
+        if not process.is_alive():
+            return
+        signal_process()
+        process.join(timeout=2.0)
 
 
 class _sigterm_as_interrupt:
@@ -305,6 +322,203 @@ def _deferred_interrupts():
             raise KeyboardInterrupt
 
 
+@dataclass
+class _Job:
+    """One submitted cell; ``process``/``conn`` are set once it forks."""
+
+    run_fn: Callable[[RunSpec], Any]
+    spec: RunSpec
+    timeout_s: Optional[float]
+    future: Any
+    process: Any = None
+    conn: Any = None
+    started: float = 0.0
+
+
+class WorkerPool:
+    """Fork-per-cell worker supervisor, driven by its caller's poll loop.
+
+    :meth:`submit` queues a cell and returns a
+    :class:`concurrent.futures.Future` of its :class:`CellResult`;
+    :meth:`poll` forks queued cells, waits on their pipes and
+    deadlines, and resolves each as ``ok``, ``error``, ``timeout`` or
+    ``crashed``; :meth:`stop` drains the pool or kills it.  Each worker
+    runs one cell, sends one ``(status, payload, wall)`` message and
+    exits.  The caller bounds concurrency by keeping :attr:`busy`
+    under its limit.
+
+    Ownership: ``submit`` and ``stop`` may be called from any thread,
+    ``poll`` from one thread only — the polling thread, which alone
+    forks workers, reads, kills and closes them, and resolves futures.
+    A future therefore resolves exactly once and each pipe has one
+    closer.
+    """
+
+    def __init__(self):
+        self._ctx = _mp_context()
+        self._lock = threading.Lock()
+        self._queued: deque[_Job] = deque()
+        self._live: dict[Any, _Job] = {}
+        #: Self-pipe: ``submit`` and ``stop`` write a byte so that a
+        #: poll blocked in its wait sees the change at once instead of
+        #: at the end of its timeout.
+        self._wake_r, self._wake_w = os.pipe()
+        os.set_blocking(self._wake_w, False)
+        self._stop_at: Optional[float] = None
+        self._closed = False
+        #: Cells submitted and not yet resolved (queued or running).
+        self.busy = 0
+        #: Workers lost to a crash or a deadline kill.
+        self.workers_lost = 0
+
+    def submit(
+        self,
+        run_fn: Callable[[RunSpec], Any],
+        spec: RunSpec,
+        timeout_s: Optional[float] = None,
+    ) -> "Future[CellResult]":
+        """Queue ``run_fn(spec)``; the next :meth:`poll` forks it.
+
+        ``timeout_s`` is the cell's wall-clock deadline from its fork.
+        """
+        from concurrent.futures import Future
+
+        future: Future[CellResult] = Future()
+        with self._lock:
+            if self._stop_at is not None:
+                raise RuntimeError("worker pool is stopping")
+            self._queued.append(_Job(run_fn, spec, timeout_s, future))
+            self.busy += 1
+            self._wake()
+        return future
+
+    def stop(self, grace_s: float = 0.0) -> None:
+        """Refuse new cells, cancel queued ones, give running ones ``grace_s``.
+
+        The polling thread completes the stop: once the running cells
+        are done or the grace has run out, it kills the survivors,
+        cancels their futures, closes every pipe, and :meth:`poll`
+        returns False.  A later call can only shorten the grace.
+        """
+        with self._lock:
+            stop_at = time.monotonic() + grace_s
+            if self._stop_at is None or stop_at < self._stop_at:
+                self._stop_at = stop_at
+            cancelled = list(self._queued)
+            self._queued.clear()
+            self.busy -= len(cancelled)
+            self._wake()
+        for job in cancelled:
+            job.future.cancel()
+
+    def _wake(self) -> None:
+        # Lock held: the polling thread closes the self-pipe under it.
+        if not self._closed:
+            with contextlib.suppress(BlockingIOError):  # wake pending
+                os.write(self._wake_w, b"\0")
+
+    def poll(self, timeout: Optional[float] = None) -> bool:
+        """Fork queued cells, wait up to ``timeout`` s, resolve what finished.
+
+        Returns False once a :meth:`stop` has completed.  The wait is
+        the designated interruption point: on the main thread the
+        bookkeeping around it holds SIGINT/SIGTERM, so when an
+        interrupt propagates every cell is queued, live or resolved —
+        never forked but untracked.
+        """
+        if self._closed:
+            return False
+        timeout = _REAP_POLL_S if timeout is None else timeout
+        with _deferred_interrupts():
+            self._launch_queued()
+        if self._stop_at is not None:
+            timeout = min(timeout, max(0.0, self._stop_at - time.monotonic()))
+        ready = _wait_connections([*self._live, self._wake_r], timeout=timeout)
+        with _deferred_interrupts():
+            return self._reap(set(ready))
+
+    def _launch_queued(self) -> None:
+        while True:
+            with self._lock:
+                if not self._queued:
+                    return
+                job = self._queued.popleft()
+            parent_conn, child_conn = self._ctx.Pipe(duplex=False)
+            job.process = self._ctx.Process(
+                target=_worker_main,
+                args=(child_conn, job.spec, job.run_fn),
+                daemon=True,
+                name="repro-cell",
+            )
+            job.started = time.monotonic()
+            job.process.start()
+            # Close our copy of the child end so EOF is observable the
+            # moment the worker dies.
+            child_conn.close()
+            job.conn = parent_conn
+            self._live[parent_conn] = job
+
+    def _reap(self, ready: set) -> bool:
+        if self._wake_r in ready:
+            os.read(self._wake_r, 4096)
+        now = time.monotonic()
+        for conn, job in list(self._live.items()):
+            if conn in ready:
+                try:
+                    status, payload, wall = conn.recv()
+                except (EOFError, OSError):
+                    # Pipe closed without a message: the worker died
+                    # mid-run (e.g. SIGKILL / segfault).
+                    self.workers_lost += 1
+                    cell = CellResult(
+                        job.spec,
+                        "crashed",
+                        error="worker died without reporting a result",
+                        wall_clock_s=now - job.started,
+                    )
+                else:
+                    cell = CellResult(job.spec, status, wall_clock_s=wall)
+                    if status == "ok":
+                        cell.result = payload
+                    else:
+                        cell.error = payload
+                self._finish(job, cell)
+            elif job.timeout_s and now > job.started + job.timeout_s:
+                _stop_process(job.process)
+                self.workers_lost += 1
+                self._finish(
+                    job,
+                    CellResult(
+                        job.spec,
+                        "timeout",
+                        error=f"exceeded {job.timeout_s:.3g}s deadline",
+                        wall_clock_s=now - job.started,
+                    ),
+                )
+        if self._stop_at is None or (self._live and now < self._stop_at):
+            return True
+        for job in list(self._live.values()):
+            job.process.kill()
+            self._finish(job, None)
+        with self._lock:
+            self._closed = True
+            os.close(self._wake_r)
+            os.close(self._wake_w)
+        return False
+
+    def _finish(self, job: _Job, cell: Optional[CellResult]) -> None:
+        """Reap ``job``'s worker, then resolve its future (None cancels)."""
+        del self._live[job.conn]
+        job.conn.close()
+        _stop_process(job.process, grace_s=5.0)
+        with self._lock:
+            self.busy -= 1
+        if cell is None:
+            job.future.cancel()
+        else:
+            job.future.set_result(cell)
+
+
 def _run_serial(
     specs: list[RunSpec], run_fn: Callable[[RunSpec], Any]
 ) -> list[CellResult]:
@@ -346,7 +560,9 @@ def run_grid(
     become ``error`` cells; ``timeout_s`` is not enforced — a hang
     cannot be pre-empted without a subprocess).  With ``jobs > 1`` each
     cell gets its own process, a ``timeout_s`` deadline, and crash
-    isolation: one failed cell never stops the rest of the grid.
+    isolation: one failed cell never stops the rest of the grid.  The
+    :class:`WorkerPool` is polled on the calling thread, so workers
+    are forked from a process with no other threads of the pool's.
 
     SIGINT/SIGTERM trigger a **graceful drain** instead of orphaning
     workers: no new cells launch, in-flight cells get up to
@@ -359,146 +575,44 @@ def run_grid(
     if jobs <= 1 or len(specs) <= 1:
         return _run_serial(specs, run_fn)
 
-    ctx = _mp_context()
-    results: list[Optional[CellResult]] = [None] * len(specs)
-    pending = deque(enumerate(specs))
-    live: dict[int, _LiveWorker] = {}
-
-    def finish(worker: _LiveWorker, cell: CellResult) -> None:
-        results[worker.index] = cell
-        live.pop(worker.index, None)
-        worker.conn.close()
-        worker.process.join(timeout=5.0)
-        if worker.process.is_alive():  # pragma: no cover - stuck worker
-            worker.process.kill()
-            worker.process.join(timeout=5.0)
-
-    def launch_ready() -> None:
-        # Interrupts held: a drain triggered mid-launch must see the
-        # worker either still in ``pending`` or fully registered in
-        # ``live`` — never forked-but-untracked.
-        with _deferred_interrupts():
-            while pending and len(live) < jobs:
-                index, spec = pending.popleft()
-                parent_conn, child_conn = ctx.Pipe(duplex=False)
-                process = ctx.Process(
-                    target=_worker_main,
-                    args=(child_conn, spec, run_fn),
-                    daemon=True,
-                    name=f"repro-cell-{index}",
-                )
-                now = time.monotonic()
-                process.start()
-                # Close our copy of the child end so EOF is observable
-                # the moment the worker dies.
-                child_conn.close()
-                live[index] = _LiveWorker(
-                    index=index,
-                    process=process,
-                    conn=parent_conn,
-                    started=now,
-                    deadline=(now + timeout_s) if timeout_s else None,
-                )
-
-    def reap_once() -> None:
-        # The poll is the designated interruption point: an interrupt
-        # raised here finds every worker either live or finished.
-        ready = _wait_connections(
-            [w.conn for w in live.values()], timeout=_REAP_POLL_S
-        )
-        with _deferred_interrupts():
-            _reap_ready(set(ready))
-
-    def _reap_ready(ready_set: set) -> None:
-        now = time.monotonic()
-        for worker in list(live.values()):
-            spec = specs[worker.index]
-            wall = now - worker.started
-            if worker.conn in ready_set:
-                try:
-                    status, payload, worker_wall = worker.conn.recv()
-                except (EOFError, OSError):
-                    # Pipe closed without a message: the worker died
-                    # mid-run (e.g. SIGKILL / segfault).
-                    finish(
-                        worker,
-                        CellResult(
-                            spec,
-                            "crashed",
-                            error="worker died without reporting "
-                            "a result",
-                            wall_clock_s=wall,
-                        ),
-                    )
-                    continue
-                if status == "ok":
-                    finish(
-                        worker,
-                        CellResult(
-                            spec,
-                            "ok",
-                            result=payload,
-                            wall_clock_s=worker_wall,
-                        ),
-                    )
-                else:
-                    finish(
-                        worker,
-                        CellResult(
-                            spec,
-                            "error",
-                            error=payload,
-                            wall_clock_s=worker_wall,
-                        ),
-                    )
-            elif worker.deadline is not None and now > worker.deadline:
-                worker.process.terminate()
-                worker.process.join(timeout=1.0)
-                if worker.process.is_alive():  # pragma: no cover
-                    worker.process.kill()
-                finish(
-                    worker,
-                    CellResult(
-                        spec,
-                        "timeout",
-                        error=f"exceeded {timeout_s:.3g}s deadline",
-                        wall_clock_s=wall,
-                    ),
-                )
-
-    unstarted: list[RunSpec] = []
+    pool = WorkerPool()
+    futures = []
     interrupted = False
     with _sigterm_as_interrupt():
         try:
-            while pending or live:
-                launch_ready()
-                reap_once()
+            while len(futures) < len(specs) or pool.busy:
+                while len(futures) < len(specs) and pool.busy < jobs:
+                    spec = specs[len(futures)]
+                    futures.append(pool.submit(run_fn, spec, timeout_s))
+                pool.poll()
         except KeyboardInterrupt:
             # Graceful drain: stop launching, give in-flight cells a
             # grace window, keep whatever they report.
             interrupted = True
-            unstarted = [spec for _, spec in pending]
-            pending.clear()
-            deadline = time.monotonic() + drain_grace_s
+            pool.stop(drain_grace_s)
             try:
-                while live and time.monotonic() < deadline:
-                    reap_once()
+                while pool.poll():
+                    pass
             except KeyboardInterrupt:
                 pass  # second interrupt: drop the grace, kill now
         finally:
-            # Belt and braces: never leak workers on any exit path —
-            # under an interrupt this reaps the drain's survivors.
-            with _deferred_interrupts():
-                for worker in list(live.values()):
-                    unstarted.append(specs[worker.index])
-                    live.pop(worker.index, None)
-                    worker.process.kill()
-                    worker.process.join(timeout=5.0)
-                    worker.conn.close()
+            # Never leak workers on any exit path: under an interrupt
+            # this kills and reaps the drain's survivors.
+            pool.stop()
+            while pool.poll():
+                pass
 
-    done = [cell for cell in results if cell is not None]
+    done = [future.result() for future in futures if not future.cancelled()]
     if interrupted:
-        raise GridInterrupted(done, unstarted)
+        # A cancelled future is a cell that never ran or was killed
+        # by the drain; a submit the interrupt cut short never got
+        # its future appended, and stop() cancelled it.
+        unstarted = [
+            spec
+            for spec, future in zip(specs, futures)
+            if future.cancelled()
+        ]
+        raise GridInterrupted(done, unstarted + specs[len(futures):])
     return done
 
 

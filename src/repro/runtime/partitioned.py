@@ -65,7 +65,6 @@ kill for the chaos harness (``repro pdes-chaos``).
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import time
 import traceback
@@ -565,16 +564,6 @@ def _run_serial(spec: PartitionedRunSpec) -> RunResult:
 
 
 # ------------------------------------------------------------- pooled driver
-def _mp_context() -> multiprocessing.context.BaseContext:
-    """Fork-preferred start method (same choice as repro.harness.pool):
-    the graph/partition/config land in workers as copy-on-write pages
-    instead of pickled blobs."""
-    try:
-        return multiprocessing.get_context("fork")
-    except ValueError:  # pragma: no cover - non-POSIX fallback
-        return multiprocessing.get_context()
-
-
 @dataclass(frozen=True)
 class WorkerKillPlan:
     """Deterministic fail-stop injection for the pooled driver.
@@ -712,7 +701,9 @@ class _WorkerHost:
         return self._call("finalize", t_done)
 
     def close(self, timeout: float = 30.0) -> None:
-        """Best-effort shutdown: polite exit, close, join, terminate."""
+        """Best-effort shutdown: polite exit, close, join, then kill."""
+        from repro.harness.pool import _stop_process
+
         try:
             self.conn.send(("exit",))
         except (BrokenPipeError, OSError):
@@ -721,9 +712,7 @@ class _WorkerHost:
             self.conn.close()
         except OSError:  # pragma: no cover - already closed
             pass
-        self.process.join(timeout=timeout)
-        if self.process.is_alive():  # pragma: no cover - hung worker
-            self.process.terminate()
+        _stop_process(self.process, grace_s=timeout)
 
 
 class PooledPartitionedEngine:
@@ -775,6 +764,8 @@ class PooledPartitionedEngine:
         own journal, so recovery is simply a respawn (sans kill plan)
         and rerun, bounded by the respawn budget.
         """
+        from repro.harness.pool import _stop_process
+
         kill = self.kill_plan
         attempt = 0
         while True:
@@ -805,11 +796,11 @@ class PooledPartitionedEngine:
                     host.conn.close()
                 except OSError:  # pragma: no cover - already closed
                     pass
-                host.process.join(timeout=30)
-                if host.process.is_alive():  # pragma: no cover
-                    host.process.terminate()
+                _stop_process(host.process, grace_s=30)
 
     def run(self) -> RunResult:
+        from repro.harness.pool import _mp_context
+
         spec = self.spec
         ctx = _mp_context()
         self.n_partitions = _downgrade_crash_plan(spec, self.n_partitions)

@@ -1,7 +1,8 @@
 """Simulation-as-a-service: the ``repro serve`` subsystem.
 
 A long-running asyncio HTTP service that multiplexes many concurrent
-run/sweep requests over a persistent warm worker fleet, plus the
+run/sweep requests over the harness's fork-per-cell
+:class:`~repro.harness.pool.WorkerPool`, plus the
 discrete-event model of that very service — the serving layer is a
 queueing system, so the DES engine this repository reproduces can
 validate its own front door (Little's law, M/M/1 latency nonlinearity,
@@ -17,9 +18,9 @@ Layers, bottom up:
   from the implementation it predicts.
 * :mod:`repro.serve.stats` — service counters, per-priority latency
   histograms, and the recorded arrival log.
-* :mod:`repro.serve.fleet` — the warm worker fleet (persistent
-  processes reused across requests, instead of fork-per-cell).
-* :mod:`repro.serve.service` — the asyncio HTTP front end.
+* :mod:`repro.serve.service` — the asyncio HTTP front end: admission,
+  single-flight dedup, retry and quarantine, streaming; it polls the
+  worker pool from one reaper thread.
 * :mod:`repro.serve.client` — the stdlib HTTP client behind
   ``python -m repro submit/status/watch``.
 * :mod:`repro.serve.model` / :mod:`repro.serve.validate` /

@@ -1,7 +1,7 @@
 """The serving layer as a DES workload on our own engine.
 
 ``repro serve`` is a queueing system: Poisson-ish arrivals, a bounded
-admission queue, weighted priority scheduling, ``c`` warm workers.
+admission queue, weighted priority scheduling, ``c`` worker slots.
 This module mirrors that configuration as a discrete-event simulation
 on :class:`repro.sim.core.Environment` — the same engine the paper
 reproduction runs on — so the service can be validated by the very
@@ -239,7 +239,7 @@ class ModelRun:
 
     @property
     def utilization(self) -> float:
-        """Mean busy fraction of the worker fleet (rho for c=1)."""
+        """Mean busy fraction of the worker slots (rho for c=1)."""
         if not self.horizon_s:
             return 0.0
         return self.busy_s / (self.workers * self.horizon_s)

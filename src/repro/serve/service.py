@@ -3,7 +3,8 @@
 A deliberately small HTTP/1.1 implementation over ``asyncio`` streams
 (the repository has a no-new-dependencies rule, and the protocol
 surface is six endpoints), multiplexing many concurrent run/sweep
-requests over one :class:`~repro.serve.fleet.WorkerFleet`:
+requests over one :class:`~repro.harness.pool.WorkerPool` (one forked
+process per cell, at most ``--workers`` at a time):
 
 * ``POST /submit`` — JSON body with a ``spec``/``specs`` sweep, a
   priority class, and an optional ``trace`` flag.  Admission control:
@@ -15,17 +16,18 @@ requests over one :class:`~repro.serve.fleet.WorkerFleet`:
   see the full history.
 * ``GET /jobs/<id>/trace?cell=N`` — the Perfetto trace_event JSON of
   a traced cell.
-* ``GET /stats`` — live ``SERVICE_COUNTERS``, queue depths, fleet
+* ``GET /stats`` — live ``SERVICE_COUNTERS``, queue depths, worker
   state.  ``GET /healthz`` — liveness.
 * ``POST /drain`` — graceful shutdown: stop admitting, let in-flight
   work finish, persist the stats file (counters + histograms + the
-  recorded arrival log the DES model replays), stop the fleet.
+  recorded arrival log the DES model replays), stop the pool.
 
 Scheduling: cells enter the shared
 :class:`~repro.serve.scheduler.WeightedScheduler`; a dispatcher task
-pops under smooth weighted RR whenever a fleet worker is idle.
+pops under smooth weighted RR whenever a worker slot is free.
 Identical concurrent cells are **single-flighted** on the run-cache
-key: one execution, every requester attached as a follower.  Large
+key: one execution, every requester attached as a follower; a repeat
+of a finished cell is answered from the persistent run cache.  Large
 sweeps self-limit via a per-request in-flight window, so one bulk
 request cannot monopolize the bounded queue (backpressure without
 rejection).
@@ -45,14 +47,17 @@ fail immediately, exactly as before.
 from __future__ import annotations
 
 import asyncio
+import functools
 import json
+import os
 import signal
+import threading
 import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
 
-from repro.harness.pool import RunSpec
-from repro.serve.fleet import FleetResult, WorkerFleet, execute_serve_cell
+from repro.errors import WorkerCrashed
+from repro.harness.pool import CellResult, RunSpec, WorkerPool, execute_spec
 from repro.serve.protocol import (
     DEFAULT_PRIORITY,
     DEFAULT_RETRY_POLICIES,
@@ -66,7 +71,55 @@ from repro.serve.protocol import (
 from repro.serve.scheduler import WeightedScheduler
 from repro.serve.stats import ArrivalRecord, ServiceStats
 
-__all__ = ["ServeConfig", "ReproService"]
+__all__ = ["ServeConfig", "ReproService", "execute_serve_cell"]
+
+
+def execute_serve_cell(
+    spec: RunSpec, trace: bool = False
+) -> tuple[Any, Optional[dict]]:
+    """Default cell executor: the cached runner, optionally traced.
+
+    Untraced cells go through the run cache, and the result's
+    ``cache_hits`` field tells the service whether this execution was
+    served from disk.  Traced cells simulate fresh with spans on (the
+    cache is bypassed both ways, mirroring ``repro profile``) and ship
+    the Perfetto trace_event document alongside the result.
+    """
+    from repro.harness import runner
+
+    if not trace:
+        # A forked worker inherits its parent's in-process memo, whose
+        # entries carry the parent's fresh-run accounting: answer from
+        # the run cache instead, so ``cache_hits`` stays truthful.
+        runner.clear_memory_cache()
+        return execute_spec(spec), None
+
+    from repro.telemetry.export import to_trace_events
+    from repro.telemetry.spans import TELEMETRY_ENV
+
+    machine = runner.get_machine(spec.machine, spec.n_gpus)
+    saved = os.environ.get(TELEMETRY_ENV)
+    os.environ[TELEMETRY_ENV] = "1"
+    try:
+        result = runner._compute(
+            spec.framework,
+            spec.app,
+            spec.dataset,
+            spec.n_gpus,
+            spec.validate,
+            machine,
+            seed=spec.seed,
+        )
+    finally:
+        if saved is None:
+            os.environ.pop(TELEMETRY_ENV, None)
+        else:
+            os.environ[TELEMETRY_ENV] = saved
+    trace_doc = None
+    if result.telemetry is not None:
+        trace_doc = to_trace_events(result.telemetry, result.time_ms * 1000.0)
+        result.telemetry = None  # spans don't survive the pipe
+    return result, trace_doc
 
 
 @dataclass
@@ -212,7 +265,8 @@ class ReproService:
             config.weights, max_queue=config.max_queue
         )
         self.stats = ServiceStats(config=config.to_json())
-        self.fleet: Optional[WorkerFleet] = None
+        self.pool: Optional[WorkerPool] = None
+        self._reaper: Optional[threading.Thread] = None
         self.draining = False
         self._requests: dict[str, _Request] = {}
         self._active: set[str] = set()
@@ -230,18 +284,15 @@ class ReproService:
         self._stopped = asyncio.Event()
         self._server: Optional[asyncio.base_events.Server] = None
         self._dispatcher: Optional[asyncio.Task] = None
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
 
     # -- lifecycle --------------------------------------------------------
     async def start(self) -> tuple[str, int]:
-        """Spin up the fleet and bind the listener; returns (host, port)."""
-        self._loop = asyncio.get_running_loop()
-        self.fleet = WorkerFleet(
-            self.config.workers,
-            run_fn=self.run_fn,
-            timeout_s=self.config.cell_timeout_s,
-            on_idle=self._on_worker_idle,
+        """Start the worker pool and bind the listener; returns (host, port)."""
+        self.pool = WorkerPool()
+        self._reaper = threading.Thread(
+            target=self._reap_loop, name="serve-reaper", daemon=True
         )
+        self._reaper.start()
         self._dispatcher = asyncio.create_task(
             self._dispatch_loop(), name="serve-dispatch"
         )
@@ -256,7 +307,8 @@ class ReproService:
         host, port = await self.start()
         print(
             f"repro serve: listening on http://{host}:{port} "
-            f"({self.config.workers} warm workers, queue bound "
+            f"(up to {self.config.workers} cells at once, one forked "
+            f"worker each, queue bound "
             f"{self.config.max_queue})",
             flush=True,
         )
@@ -272,10 +324,10 @@ class ReproService:
                     pass  # pragma: no cover - non-unix
         await self._stopped.wait()
 
-    def _on_worker_idle(self) -> None:
-        """Reaper-thread callback -> wake the dispatcher in-loop."""
-        if self._loop is not None and not self._loop.is_closed():
-            self._loop.call_soon_threadsafe(self._work.set)
+    def _reap_loop(self) -> None:
+        """The pool's polling thread: forks, reaps, resolves futures."""
+        while self.pool.poll():
+            pass
 
     async def drain(self) -> None:
         """Graceful shutdown; idempotent."""
@@ -303,9 +355,11 @@ class ReproService:
                 print(f"repro serve: stats write failed: {exc}", flush=True)
         if self._dispatcher is not None:
             self._dispatcher.cancel()
-        if self.fleet is not None:
+        if self.pool is not None:
+            # The reaper finishes the stop; only it touches the pipes.
+            self.pool.stop(self.config.drain_grace_s)
             await asyncio.get_running_loop().run_in_executor(
-                None, self.fleet.drain, self.config.drain_grace_s
+                None, self._reaper.join
             )
         if self._server is not None:
             self._server.close()
@@ -317,34 +371,38 @@ class ReproService:
         """Drop still-queued cells after the drain grace expired."""
         cancelled = [cell for _, cell in iter_pop_all(self.scheduler)]
         for cell in cancelled:
-            self._cells.pop(cell.key, None)
-            self.stats.record_cell(
-                ArrivalRecord(
-                    cell.t_arrive,
-                    cell.priority,
-                    "cancelled",
-                    key=cell.key[:16],
-                )
+            await self._drop_cell(cell)
+
+    async def _drop_cell(self, cell: _Cell) -> None:
+        """End a cell the drain stopped: followers see ``cancelled``."""
+        self._cells.pop(cell.key, None)
+        self.stats.record_cell(
+            ArrivalRecord(
+                cell.t_arrive, cell.priority, "cancelled", key=cell.key[:16]
             )
-            for request, index in cell.followers:
-                await self._finish_follower(
-                    request,
-                    index,
-                    {
-                        "cell": index,
-                        "status": "cancelled",
-                        "spec": spec_to_json(cell.spec),
-                    },
-                    failed=True,
-                )
+        )
+        for request, index in cell.followers:
+            await self._finish_follower(
+                request,
+                index,
+                {
+                    "cell": index,
+                    "status": "cancelled",
+                    "spec": spec_to_json(cell.spec),
+                },
+                failed=True,
+            )
 
     # -- dispatch ---------------------------------------------------------
     async def _dispatch_loop(self) -> None:
-        assert self.fleet is not None
+        assert self.pool is not None
         while True:
             await self._work.wait()
             self._work.clear()
-            while len(self.scheduler) and self.fleet.idle_count > 0:
+            while (
+                len(self.scheduler)
+                and self.pool.busy < self.config.workers
+            ):
                 popped = self.scheduler.pop()
                 if popped is None:  # pragma: no cover - len() guarded
                     break
@@ -353,12 +411,11 @@ class ReproService:
                     self._space.notify_all()
                 cell.state = "running"
                 t_start = self.stats.now()
-                try:
-                    future = self.fleet.submit(cell.spec, cell.trace)
-                except RuntimeError:
-                    # Lost the idle worker to a respawn race; requeue.
-                    self.scheduler.offer(cell.priority, cell)
-                    break
+                future = self.pool.submit(
+                    functools.partial(self.run_fn, trace=cell.trace),
+                    cell.spec,
+                    self.config.cell_timeout_s,
+                )
                 cell.attempts += 1
                 asyncio.create_task(
                     self._await_cell(cell, t_start, future),
@@ -389,7 +446,7 @@ class ReproService:
             self.stats.counters["resilience_specs_quarantined"] += 1
         return base in self._quarantine
 
-    def _maybe_retry(self, cell: _Cell, outcome: FleetResult) -> bool:
+    def _maybe_retry(self, cell: _Cell, outcome: CellResult) -> bool:
         """Decide (and schedule) a retry for a failed attempt.
 
         Worker crashes and deadline kills are the worker's fault, not
@@ -400,12 +457,11 @@ class ReproService:
         policy = self.config.retry.get(cell.priority)
         if policy is None or self.draining:
             return False
-        status = outcome.cell.status
-        if status == "crashed" or outcome.failure is not None:
+        if isinstance(outcome.failure, WorkerCrashed):
             if self._record_crash(cell):
                 return False  # poisoned: fail followers now
             self.stats.counters["service_respawn_retries"] += 1
-        elif status == "timeout":
+        elif outcome.status == "timeout":
             if not policy.retry_timeouts:
                 return False
         else:
@@ -425,28 +481,8 @@ class ReproService:
     async def _requeue_after(self, cell: _Cell, delay: float) -> None:
         await asyncio.sleep(delay)
         if self.draining:
-            # Drained out from under the backoff: same terminal shape
-            # as a queued cell dropped by _cancel_queued.
-            self._cells.pop(cell.key, None)
-            self.stats.record_cell(
-                ArrivalRecord(
-                    cell.t_arrive,
-                    cell.priority,
-                    "cancelled",
-                    key=cell.key[:16],
-                )
-            )
-            for request, index in cell.followers:
-                await self._finish_follower(
-                    request,
-                    index,
-                    {
-                        "cell": index,
-                        "status": "cancelled",
-                        "spec": spec_to_json(cell.spec),
-                    },
-                    failed=True,
-                )
+            # Drained out from under the backoff.
+            await self._drop_cell(cell)
             return
         cell.state = "queued"
         while not self.scheduler.offer(cell.priority, cell):
@@ -455,16 +491,21 @@ class ReproService:
         self._work.set()
 
     async def _await_cell(self, cell: _Cell, t_start: float, future) -> None:
-        outcome: FleetResult = await asyncio.wrap_future(future)
+        await asyncio.wait([asyncio.wrap_future(future)])
+        if future.cancelled():
+            # The drain's grace ran out and the pool killed the worker.
+            await self._drop_cell(cell)
+            return
+        result: CellResult = future.result()
         t_done = self.stats.now()
-        if not outcome.cell.ok and self._maybe_retry(cell, outcome):
+        if not result.ok and self._maybe_retry(cell, result):
             # The attempt failed but the cell lives on; nothing is
             # fanned out and the single-flight entry stays registered.
             self._work.set()
             return
         self._cells.pop(cell.key, None)
         cell.state = "done"
-        result = outcome.cell
+        run, trace_doc = result.result if result.ok else (None, None)
         status = "completed" if result.ok else "failed"
         self.stats.record_cell(
             ArrivalRecord(
@@ -477,9 +518,9 @@ class ReproService:
                 key=cell.key[:16],
             )
         )
-        if result.ok and getattr(result.result, "cache_hits", 0):
+        if result.ok and getattr(run, "cache_hits", 0):
             self.stats.counters["service_cache_hits"] += 1
-        if outcome.trace is not None:
+        if trace_doc is not None:
             self.stats.counters["service_trace_exports"] += 1
         summary_base = {
             "status": result.status,
@@ -487,7 +528,6 @@ class ReproService:
             "attempts": cell.attempts,
         }
         if result.ok:
-            run = result.result
             summary_base.update(
                 {
                     "digest": run.digest(),
@@ -503,8 +543,8 @@ class ReproService:
             summary = dict(summary_base)
             summary["cell"] = index
             summary["spec"] = spec_to_json(cell.spec)
-            if outcome.trace is not None:
-                request.traces[index] = outcome.trace
+            if trace_doc is not None:
+                request.traces[index] = trace_doc
                 summary["trace"] = True
             await self._finish_follower(
                 request, index, summary, failed=not result.ok
@@ -790,10 +830,14 @@ class ReproService:
             "active_jobs": len(self._active),
             "workers": self.config.workers,
             "idle_workers": (
-                self.fleet.idle_count if self.fleet is not None else 0
+                self.config.workers - self.pool.busy
+                if self.pool is not None
+                else 0
             ),
+            # Workers lost to a crash or a deadline kill (each cell
+            # gets a fresh fork, so every loss is "respawned").
             "worker_respawns": (
-                self.fleet.respawns if self.fleet is not None else 0
+                self.pool.workers_lost if self.pool is not None else 0
             ),
             "inflight_cells": len(self._cells),
             "quarantined_specs": len(self._quarantine),

@@ -12,6 +12,8 @@ import os
 import signal
 import threading
 import time
+from collections import defaultdict
+from multiprocessing.connection import Connection
 
 import pytest
 
@@ -62,6 +64,16 @@ def _alive(pid: int) -> bool:
 
 
 def test_sigterm_drains_in_flight_and_reaps_workers(tmp_path, monkeypatch):
+    # One closer per pipe, as in the service: the grid's supervisor
+    # (this thread) closes every connection, the drain included.
+    closers = defaultdict(set)
+    close = Connection.close
+
+    def recording_close(conn):
+        closers[conn].add(threading.get_ident())
+        close(conn)
+
+    monkeypatch.setattr(Connection, "close", recording_close)
     monkeypatch.setenv(_PID_DIR_ENV, str(tmp_path))
     _sigterm_soon(str(tmp_path))
 
@@ -76,6 +88,10 @@ def test_sigterm_drains_in_flight_and_reaps_workers(tmp_path, monkeypatch):
     assert {cell.result for cell in interrupt.cells} == {"ok:d0", "ok:d1"}
     assert [spec.dataset for spec in interrupt.unstarted] == ["d2", "d3"]
     assert "2 cell(s) salvaged" in str(interrupt)
+    assert closers
+    assert all(
+        threads == {threading.get_ident()} for threads in closers.values()
+    )
 
     # No orphans: every worker that started is gone.
     time.sleep(0.1)

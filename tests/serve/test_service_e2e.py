@@ -306,7 +306,7 @@ def test_drain_writes_stats_and_refuses_new_work():
 def test_real_runner_digest_matches_direct_run(tmp_path, monkeypatch):
     """Acceptance: streamed result digest == direct ``repro run``."""
     from repro.harness import runner
-    from repro.serve.fleet import execute_serve_cell
+    from repro.serve.service import execute_serve_cell
 
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
     direct = runner.run(
