@@ -111,7 +111,7 @@ class CellResult:
 
     @property
     def failure(self) -> Optional[WorkerCrashed]:
-        """Set when the worker *process* died under the cell.
+        """The crash, if the worker *process* died under the cell.
 
         The typed signal retry and quarantine key on, as opposed to an
         in-worker exception (``error``, deterministic, never retried).
