@@ -77,15 +77,12 @@ class WorkerCrashed(ReproError):
     :attr:`repro.harness.pool.CellResult.failure` of a cell that
     resolved ``crashed`` (pipe EOF: segfault, OOM-kill, ``os._exit``),
     threaded through the service's retry and quarantine policy, and
-    carrying which spec (``spec_key``) and which attempt this was.
+    carrying which spec (``spec_key``) it was running.
     """
 
-    def __init__(self, spec_key: str, attempt: int = 1):
-        super().__init__(
-            f"worker crashed running {spec_key}, attempt {attempt}"
-        )
+    def __init__(self, spec_key: str):
+        super().__init__(f"worker crashed running {spec_key}")
         self.spec_key = spec_key
-        self.attempt = attempt
 
 
 class ProcessInterrupt(ReproError):

@@ -104,22 +104,14 @@ class CellResult:
     result: Any = None
     error: str = ""
     wall_clock_s: float = 0.0
+    #: Set on a ``crashed`` cell: the typed signal retry and quarantine
+    #: key on, as opposed to an in-worker exception (``error``,
+    #: deterministic, never retried).
+    failure: Optional[WorkerCrashed] = None
 
     @property
     def ok(self) -> bool:
         return self.status == "ok"
-
-    @property
-    def failure(self) -> Optional[WorkerCrashed]:
-        """The crash, if the worker *process* died under the cell.
-
-        The typed signal retry and quarantine key on, as opposed to an
-        in-worker exception (``error``, deterministic, never retried).
-        """
-        if self.status != "crashed":
-            return None
-        spec = self.spec
-        return WorkerCrashed(f"{spec.framework}:{spec.app}:{spec.dataset}")
 
 
 class GridFailure(RuntimeError):
@@ -351,7 +343,18 @@ class WorkerPool:
     ``poll`` from one thread only — the polling thread, which alone
     forks workers, reads, kills and closes them, and resolves futures.
     A future therefore resolves exactly once and each pipe has one
-    closer.
+    closer.  A fork refused by the OS (``EAGAIN``, ``ENOMEM``,
+    ``EMFILE``) fails only its cell, as ``error``.
+
+    :func:`run_grid` polls on its calling thread, so it forks from a
+    single-threaded process.  ``repro serve`` polls from a reaper
+    thread, so it forks from a multi-threaded one (Python 3.12 warns):
+    a child inherits every lock another thread held at the fork.  The
+    worker only restores signals, runs ``run_fn`` and sends on its own
+    pipe; the service's threads take none of its locks, except a
+    standard stream's buffer at start and drain, flushed by the
+    child's exit.  A fork inside that write hangs the child until its
+    deadline (``serve --timeout``) kills it.
     """
 
     def __init__(self):
@@ -443,20 +446,40 @@ class WorkerPool:
                 if not self._queued:
                     return
                 job = self._queued.popleft()
-            parent_conn, child_conn = self._ctx.Pipe(duplex=False)
+            job.started = time.monotonic()
+            try:
+                job.conn = self._fork(job)
+            except OSError:
+                # Out of processes, memory or descriptors (EAGAIN,
+                # ENOMEM, EMFILE): this cell fails, the pool goes on.
+                self._resolve(
+                    job,
+                    CellResult(
+                        job.spec, "error", error=traceback.format_exc()
+                    ),
+                )
+            else:
+                self._live[job.conn] = job
+
+    def _fork(self, job: _Job):
+        """Start ``job``'s worker; returns the parent end of its pipe."""
+        parent_conn, child_conn = self._ctx.Pipe(duplex=False)
+        try:
             job.process = self._ctx.Process(
                 target=_worker_main,
                 args=(child_conn, job.spec, job.run_fn),
                 daemon=True,
                 name="repro-cell",
             )
-            job.started = time.monotonic()
             job.process.start()
+        except BaseException:
+            parent_conn.close()
+            raise
+        finally:
             # Close our copy of the child end so EOF is observable the
             # moment the worker dies.
             child_conn.close()
-            job.conn = parent_conn
-            self._live[parent_conn] = job
+        return parent_conn
 
     def _reap(self, ready: set) -> bool:
         if self._wake_r in ready:
@@ -470,11 +493,15 @@ class WorkerPool:
                     # Pipe closed without a message: the worker died
                     # mid-run (e.g. SIGKILL / segfault).
                     self.workers_lost += 1
+                    spec = job.spec
                     cell = CellResult(
-                        job.spec,
+                        spec,
                         "crashed",
                         error="worker died without reporting a result",
                         wall_clock_s=now - job.started,
+                        failure=WorkerCrashed(
+                            f"{spec.framework}:{spec.app}:{spec.dataset}"
+                        ),
                     )
                 else:
                     cell = CellResult(job.spec, status, wall_clock_s=wall)
@@ -511,6 +538,10 @@ class WorkerPool:
         del self._live[job.conn]
         job.conn.close()
         _stop_process(job.process, grace_s=5.0)
+        self._resolve(job, cell)
+
+    def _resolve(self, job: _Job, cell: Optional[CellResult]) -> None:
+        """Hand ``job``'s slot back and resolve its future (None cancels)."""
         with self._lock:
             self.busy -= 1
         if cell is None:

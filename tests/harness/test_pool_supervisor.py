@@ -5,16 +5,18 @@ its event loop submits cells, so these tests drive the pool the same
 way: deadline kills under load, a worker killed mid-cell, a drain
 racing workers that exit on their own (one closer per pipe, all on the
 polling thread), and a submit landing while the reaper is blocked in
-its wait.  ``run_grid`` polls on its calling thread instead, which
+its wait, and a fork that fails.  ``run_grid`` polls on its calling thread instead, which
 keeps every fork in a single-threaded process.
 """
 
+import errno
 import os
 import signal
 import threading
 import time
 from collections import defaultdict
 from multiprocessing.connection import Connection
+from multiprocessing.process import BaseProcess
 
 import pytest
 
@@ -150,6 +152,41 @@ def test_drain_while_workers_exit(round_, monkeypatch):
     assert all(
         threads == {reaper.thread.ident} for threads in closers.values()
     )
+
+
+def test_failed_fork_fails_one_cell_not_the_pool(monkeypatch):
+    # Forking is the polling thread's job, so a fork refused under
+    # load (EAGAIN, ENOMEM, EMFILE) must cost that one cell and must
+    # not end the reaper: later cells still run.
+    closed = []
+    close = Connection.close
+
+    def recording_close(conn):
+        closed.append(conn)
+        close(conn)
+
+    start = BaseProcess.start
+    refusals = [OSError(errno.EAGAIN, "Resource temporarily unavailable")]
+
+    def refusing_start(process):
+        if refusals:
+            raise refusals.pop()
+        start(process)
+
+    monkeypatch.setattr(Connection, "close", recording_close)
+    monkeypatch.setattr(BaseProcess, "start", refusing_start)
+    reaper = Reaper()
+    with reaper as pool:
+        outcome = pool.submit(sleepy_run, _spec(seed=0)).result(timeout=30)
+        assert outcome.status == "error"
+        assert "Resource temporarily unavailable" in outcome.error
+        assert outcome.failure is None
+        assert len(closed) == 2  # both ends of the unused pipe
+        assert pool.busy == 0
+        again = pool.submit(sleepy_run, _spec(seed=1)).result(timeout=30)
+        assert again.ok
+        assert reaper.thread.is_alive()
+    assert pool.workers_lost == 0
 
 
 def test_submit_wakes_a_blocked_poll(monkeypatch):
