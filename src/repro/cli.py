@@ -10,8 +10,7 @@ subcommands::
     python -m repro fig1
     python -m repro topology daisy
     python -m repro cache stats                 # persistent run cache
-    python -m repro chaos --verify-inert        # fault-injection grid
-    python -m repro pdes-chaos --quick          # worker-kill grid (PDES)
+    python -m repro chaos --verify-inert        # drop/crash/kill fault grid
     python -m repro profile --export trace.json # span tracing / crit path
     python -m repro serve --workers 4           # simulation-as-a-service
     python -m repro submit --framework ... --app bfs --dataset road-usa
@@ -409,128 +408,56 @@ def _cmd_tune(args: argparse.Namespace) -> int:
     return 0
 
 
+def _numbers(args: argparse.Namespace, name: str, kind: type) -> tuple:
+    """Parse the comma-separated list flag ``name``; ValueError names it."""
+    text = getattr(args, name)
+    try:
+        return tuple(kind(item) for item in text.split(",") if item.strip())
+    except ValueError:
+        noun = "integers" if kind is int else "numbers"
+        raise ValueError(
+            f"--{name.replace('_', '-')} takes comma-separated {noun}, "
+            f"got {text!r}"
+        ) from None
+
+
 def _cmd_chaos(args: argparse.Namespace) -> int:
+    from repro.errors import ReproError
     from repro.harness.chaos import (
-        CHAOS_VARIANTS,
         chaos_grid,
+        chaos_specs,
         render_chaos,
         verify_inert,
     )
 
+    lists = {
+        "drop_rates": float,
+        "crash_pes": int,
+        "crash_times": float,
+        "kill_windows": int,
+    }
+    try:
+        grid = {
+            name: _numbers(args, name, kind)
+            for name, kind in lists.items()
+            if getattr(args, name) is not None
+        }
+        specs = chaos_specs(
+            quick=args.quick, seed=args.seed, n_gpus=args.gpus, **grid
+        )
+    except (ValueError, ReproError) as exc:
+        print(f"repro chaos: error: {exc}", file=sys.stderr)
+        return 2
     if args.verify_inert:
         verify_inert(seed=args.seed, apps=("bfs", "pagerank"))
-        print("inertness verified: zero-fault plan is trace-identical "
-              "to no plan (bfs, pagerank)")
-    drop_rates = tuple(
-        float(rate) for rate in args.drop_rates.split(",") if rate
-    )
-    apps = ("bfs",) if args.quick else ("bfs", "pagerank")
-    variants = (
-        ("standard-persistent", "priority-discrete")
-        if args.quick
-        else tuple(CHAOS_VARIANTS)
-    )
-    cells = chaos_grid(
-        drop_rates=drop_rates,
-        apps=apps,
-        variants=variants,
-        seed=args.seed,
-        n_gpus=args.gpus,
-    )
+        print("inertness verified: a zero-fault plan, an idle recovery "
+              "policy and idle window checkpoints leave the run "
+              "bit-identical (bfs, pagerank)")
+    cells = chaos_grid(specs, jobs=args.jobs)
     print(render_chaos(cells))
     failures = [cell for cell in cells if not cell.ok]
     if failures:
-        print(f"\n{len(failures)} chaos cell(s) FAILED")
-        return 1
-    return 0
-
-
-def _cmd_recover(args: argparse.Namespace) -> int:
-    from repro.harness.chaos import (
-        DEFAULT_CRASH_TIMES,
-        crash_grid,
-        render_crash,
-        verify_recovery_inert,
-    )
-
-    if args.verify_inert:
-        verify_recovery_inert(seed=args.seed, apps=("bfs", "pagerank"))
-        print("recovery inertness verified: crash-free run with a "
-              "recovery policy is trace-identical to none (bfs, pagerank)")
-    if args.crash_times:
-        times = tuple(
-            float(t) for t in args.crash_times.split(",") if t
-        )
-        crash_times = {app: times for app in ("bfs", "pagerank")}
-    else:
-        crash_times = None
-    if args.quick:
-        # CI smoke: one crash per app, one variant.
-        apps = ("bfs", "pagerank")
-        variants = ("standard-persistent",)
-        crash_times = crash_times or {
-            app: times[:1] for app, times in DEFAULT_CRASH_TIMES.items()
-        }
-    else:
-        apps = ("bfs", "pagerank")
-        variants = ("standard-persistent", "priority-discrete")
-    cells = crash_grid(
-        crash_times=crash_times,
-        apps=apps,
-        variants=variants,
-        crash_pes=tuple(int(pe) for pe in args.crash_pes.split(",") if pe),
-        seed=args.seed,
-        n_gpus=args.gpus,
-        jobs=args.jobs,
-    )
-    print(render_crash(cells))
-    failures = [cell for cell in cells if not cell.ok]
-    if failures:
-        print(f"\n{len(failures)} crash cell(s) FAILED")
-        return 1
-    return 0
-
-
-def _cmd_pdes_chaos(args: argparse.Namespace) -> int:
-    from repro.harness.chaos import (
-        DEFAULT_KILL_WINDOWS,
-        pdes_kill_grid,
-        render_pdes_kill,
-        verify_pdes_checkpoint_inert,
-    )
-
-    if args.verify_inert:
-        verify_pdes_checkpoint_inert(
-            seed=args.seed, apps=("bfs", "pagerank"), scale=args.scale
-        )
-        print("checkpoint inertness verified: pooled run with window "
-              "checkpoints is digest-identical to one without "
-              "(bfs, pagerank)")
-    if args.kill_windows:
-        windows = tuple(
-            int(w) for w in args.kill_windows.split(",") if w
-        )
-    else:
-        windows = DEFAULT_KILL_WINDOWS
-    if args.quick:
-        # CI smoke: one app, one partition count, two kill sites.
-        apps: tuple = ("bfs",)
-        partition_counts: tuple = (2,)
-        windows = windows[:2]
-    else:
-        apps = ("bfs", "pagerank")
-        partition_counts = (2, 4)
-    cells = pdes_kill_grid(
-        apps=apps,
-        partition_counts=partition_counts,
-        kill_windows=windows,
-        seed=args.seed,
-        scale=args.scale,
-    )
-    print(render_pdes_kill(cells))
-    failures = [cell for cell in cells if not cell.ok]
-    if failures:
-        print(f"\n{len(failures)} pdes kill cell(s) FAILED")
+        print(f"\n{len(failures)} fault cell(s) FAILED")
         return 1
     return 0
 
@@ -877,94 +804,43 @@ def build_parser() -> argparse.ArgumentParser:
 
     chaos = sub.add_parser(
         "chaos",
-        help="fault-injection grid: drop rate x app x queue variant",
+        help="fault grid: message drops, rank crashes and worker kills, "
+        "each run validated against the serial reference",
     )
     chaos.add_argument(
         "--quick",
         action="store_true",
-        help="smaller grid (BFS only, two variants)",
+        help="smoke subset of each fault kind",
     )
-    chaos.add_argument(
-        "--drop-rates",
-        default="0,0.05,0.1",
-        metavar="R,R,...",
-        help="comma-separated message drop probabilities",
-    )
+    for flag, metavar, text in (
+        ("--drop-rates", "R,R,...",
+         "message drop probabilities (default 0,0.05,0.1)"),
+        ("--crash-pes", "PE,PE,...",
+         "ranks to fail-stop, one cell per rank (default 1)"),
+        ("--crash-times", "T,T,...",
+         "crash times in sim us (default: per-app early+late schedule)"),
+        ("--kill-windows", "W,W,...",
+         "windows at which to kill a pooled PDES worker (default 0,2,5)"),
+    ):
+        chaos.add_argument(
+            flag, default=None, metavar=metavar,
+            help=f"comma-separated {text}; '' leaves that kind out",
+        )
     chaos.add_argument("--gpus", type=int, default=4)
     chaos.add_argument(
-        "--verify-inert",
-        action="store_true",
-        help="also prove a zero-fault plan is trace-identical to none",
-    )
-    add_seed_flag(chaos)
-    chaos.set_defaults(func=_cmd_chaos)
-
-    recover = sub.add_parser(
-        "recover",
-        help="fail-stop crash grid: checkpoint/rollback/re-home recovery",
-    )
-    recover.add_argument(
-        "--quick",
-        action="store_true",
-        help="CI smoke: one crash x two apps, one variant",
-    )
-    recover.add_argument(
-        "--crash-times",
-        default="",
-        metavar="T,T,...",
-        help="comma-separated crash times in sim us (default: per-app "
-        "early+late schedule)",
-    )
-    recover.add_argument(
-        "--crash-pes",
-        default="1",
-        metavar="PE,PE,...",
-        help="comma-separated ranks to fail-stop (one cell per rank)",
-    )
-    recover.add_argument("--gpus", type=int, default=4)
-    recover.add_argument(
         "--jobs",
         type=int,
         default=None,
         help="worker processes for the grid (0 = one per CPU)",
     )
-    recover.add_argument(
+    chaos.add_argument(
         "--verify-inert",
         action="store_true",
-        help="also prove a crash-free run with a recovery policy is "
-        "trace-identical to none",
+        help="also prove the idle fault, recovery and checkpoint layers "
+        "leave a run bit-identical",
     )
-    add_seed_flag(recover)
-    recover.set_defaults(func=_cmd_recover)
-
-    pdes_chaos = sub.add_parser(
-        "pdes-chaos",
-        help="worker-kill grid for the pooled partitioned driver: "
-        "respawn + journal replay, digest-pinned to serial",
-    )
-    pdes_chaos.add_argument(
-        "--quick",
-        action="store_true",
-        help="CI smoke: BFS only, two partitions, two kill sites",
-    )
-    pdes_chaos.add_argument(
-        "--kill-windows",
-        default="",
-        metavar="W,W,...",
-        help="comma-separated windows at which to kill the worker "
-        "(default: 0,2,5)",
-    )
-    pdes_chaos.add_argument(
-        "--scale", type=int, default=9, help="RMAT graph scale"
-    )
-    pdes_chaos.add_argument(
-        "--verify-inert",
-        action="store_true",
-        help="also prove a zero-kill checkpointed run is "
-        "digest-identical to a checkpoint-free run",
-    )
-    add_seed_flag(pdes_chaos)
-    pdes_chaos.set_defaults(func=_cmd_pdes_chaos)
+    add_seed_flag(chaos)
+    chaos.set_defaults(func=_cmd_chaos)
 
     def add_endpoint_flags(p: argparse.ArgumentParser) -> None:
         p.add_argument("--host", default="127.0.0.1")

@@ -1,50 +1,55 @@
-"""Chaos harness: fault grids that must validate and terminate.
+"""Fault grid: seeded runs that must still finish with the serial answer.
 
-The resilience claim of :mod:`repro.faults` is behavioral, not
-structural: under a deterministic schedule of dropped / duplicated /
-delayed messages and degraded devices, every run must still (a)
-terminate — no hang, no work-token underflow — and (b) produce output
-identical to the fault-free serial reference.  This module turns that
-claim into a grid: fault rate x application x queue variant, each cell
-a seeded end-to-end simulation validated against
-:mod:`repro.apps.validation`.
+The paper's correctness claim is that asynchronous, counter-terminated
+execution finishes with the serial answer.  This module checks that
+claim under three kinds of injected fault, each one value of the fault
+axis of one :class:`ChaosSpec`:
 
-Two entry points:
+* **message faults** — dropped / duplicated / delayed messages that the
+  ack+retransmit transport must absorb (a :class:`~repro.faults.FaultPlan`
+  with rates);
+* **rank crashes** — fail-stop ranks that checkpoint/rollback/re-home
+  recovery must absorb (a plan with :class:`~repro.faults.CrashEvent`
+  entries; combined with rates, both at once);
+* **worker kills** — a real worker-process death under the pooled
+  partitioned driver that respawn + journal replay must absorb (a
+  :class:`~repro.runtime.partitioned.WorkerKillPlan`).
 
-* :func:`chaos_grid` runs the grid and reports per-cell verdicts plus
-  the fault/transport counters (what was injected, what the delivery
-  layer absorbed);
-* :func:`verify_inert` pins the subsystem's zero-cost guarantee — a
-  run with ``faults=None`` and a run with an all-zero
-  :class:`~repro.faults.FaultPlan` dispatch bit-identical event traces
-  (the golden-digest technique from the determinism suite).
-
-``python -m repro chaos`` drives both.
+:func:`run_chaos_cell` judges every cell the same way: the run
+terminates, the in-flight ledger drains, and the output equals the
+fault-free serial reference; a kill cell must also reproduce the
+single-partition run's digest.  :func:`chaos_grid` runs cells through
+:func:`repro.harness.pool.run_grid`, :func:`render_chaos` tabulates
+them, and :func:`verify_inert` proves that the three idle layers — a
+zero-fault plan, an idle recovery policy, idle window checkpoints —
+leave a run bit-identical.  ``python -m repro chaos`` drives all of it.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass, field, replace
+from typing import Iterable, Optional
 
 import numpy as np
 
 from repro.apps import AtosBFS, AtosPageRank
-from repro.recovery import RecoveryPolicy
 from repro.apps.validation import (
     pagerank_close,
     reference_bfs,
     reference_pagerank,
 )
 from repro.config import daisy
-from repro.errors import ReproError, SimulationError
-from repro.faults import CrashEvent, FaultPlan, RetryPolicy
+from repro.errors import SimulationError
+from repro.faults import CrashEvent, FaultPlan
 from repro.gpu.kernel import KernelStrategy
 from repro.graph import bfs_grow_partition, largest_component_vertex, rmat
-from repro.metrics.counters import fault_summary
+from repro.metrics.counters import RunResult, fault_summary
 from repro.metrics.tables import format_generic_table
+from repro.recovery import RecoveryPolicy
 from repro.runtime import AtosConfig, AtosExecutor
+from repro.runtime.partitioned import WorkerKillPlan, run_partitioned
+from repro.sim.partition import WindowStats
 
 __all__ = [
     "CHAOS_VARIANTS",
@@ -52,25 +57,11 @@ __all__ = [
     "ChaosSpec",
     "ChaosCell",
     "run_chaos_cell",
+    "chaos_specs",
     "chaos_grid",
     "render_chaos",
     "trace_digest_for",
     "verify_inert",
-    "DEFAULT_CRASH_TIMES",
-    "CrashSpec",
-    "CrashCell",
-    "run_crash_cell",
-    "crash_grid",
-    "render_crash",
-    "verify_recovery_inert",
-    "DEFAULT_KILL_WINDOWS",
-    "PdesKillSpec",
-    "PdesKillCell",
-    "pdes_serial_digest",
-    "run_pdes_kill_cell",
-    "pdes_kill_grid",
-    "render_pdes_kill",
-    "verify_pdes_checkpoint_inert",
 ]
 
 #: The paper's three evaluated queue configurations, by short name.
@@ -83,26 +74,60 @@ CHAOS_VARIANTS: dict[str, tuple[KernelStrategy, bool]] = {
 #: PageRank validation threshold for chaos cells.
 CHAOS_EPSILON = 1e-4
 
-#: Default drop-rate sweep (the issue's acceptance range: up to 10%).
+#: The seeded RMAT graph every cell runs on.
+SCALE = 9
+EDGE_FACTOR = 8
+
+#: Duplicate and delay rates that ride along with every drop rate.
+DUPLICATE_RATE = 0.02
+DELAY_RATE = 0.05
+
+#: Recovery policy of crash cells (sim us).
+RECOVERY = RecoveryPolicy(
+    checkpoint_interval=40.0, detect_interval=5.0, drain_poll=1.0
+)
+
+#: Kill cells kill this partition's worker, with window checkpoints
+#: every this many windows.
+KILL_PARTITION = 1
+CHECKPOINT_EVERY = 3
+
+#: Default drop-rate sweep (up to 10%).
 DEFAULT_DROP_RATES = (0.0, 0.05, 0.10)
+
+#: Default crash times (sim us) per app, chosen to land mid-run on the
+#: seeded graph (fault-free makespans: BFS ~40-80 us, PageRank
+#: ~300-1500 us depending on variant).  The early crash rolls back to
+#: the bootstrap (epoch-0) checkpoint, the late one replays from a
+#: periodic epoch.
+DEFAULT_CRASH_TIMES: dict[str, tuple[float, ...]] = {
+    "bfs": (15.0, 30.0),
+    "pagerank": (80.0, 180.0),
+}
+
+#: Default windows at which a kill cell loses its worker.  Window 0
+#: loses it before any barrier state exists (replay from an empty
+#: journal); later windows replay mid-run across checkpoint barriers.
+DEFAULT_KILL_WINDOWS = (0, 2, 5)
 
 
 @dataclass(frozen=True)
 class ChaosSpec:
-    """One chaos cell: app x queue variant x fault intensity, seeded.
+    """One fault cell: app x queue variant x fault, seeded.
 
-    The graph, the partition, and the fault schedule are all pure
-    functions of ``seed``, so a cell is exactly replayable.
+    ``faults`` is the message-fault and crash schedule (``None``: no
+    fault machinery at all); ``kill`` loses one worker of a pooled run
+    over ``n_partitions`` partitions.  The graph, partition and fault
+    schedule are pure functions of the fields, so a cell is exactly
+    replayable — including its checkpoint digests.
     """
 
     app: str
-    variant: str
-    drop_rate: float
-    duplicate_rate: float = 0.02
-    delay_rate: float = 0.05
+    variant: str = "standard-persistent"
+    faults: Optional[FaultPlan] = None
+    kill: Optional[WorkerKillPlan] = None
+    n_partitions: int = 1
     seed: int = 0
-    scale: int = 9
-    edge_factor: int = 8
     n_gpus: int = 4
 
     def __post_init__(self) -> None:
@@ -113,83 +138,105 @@ class ChaosSpec:
                 f"unknown variant {self.variant!r}; "
                 f"known: {sorted(CHAOS_VARIANTS)}"
             )
+        if self.n_gpus < 1:
+            raise ValueError(f"need at least one GPU, got {self.n_gpus}")
+        for crash in self.faults.crashes if self.faults else ():
+            if crash.pe >= self.n_gpus:
+                raise ValueError(
+                    f"crash rank {crash.pe} out of range for "
+                    f"{self.n_gpus} GPU(s)"
+                )
+        if self.kill is None:
+            if self.n_partitions != 1:
+                raise ValueError("partitions apply to worker-kill cells only")
+            return
+        if self.faults is not None:
+            raise ValueError("a worker-kill cell takes no fault plan")
+        if not 1 <= self.n_partitions <= self.n_gpus:
+            raise ValueError(
+                f"{self.n_partitions} partitions out of range for "
+                f"{self.n_gpus} GPU(s)"
+            )
+        if not 0 <= self.kill.partition < self.n_partitions:
+            raise ValueError(
+                f"kill partition {self.kill.partition} out of range for "
+                f"{self.n_partitions} partitions"
+            )
+        if self.kill.window < 0:
+            raise ValueError(
+                f"kill window must be >= 0, got {self.kill.window}"
+            )
+
+    def fault(self) -> str:
+        """Short name of what this cell injects (``drop0.1``, ``pe1@15``)."""
+        parts = []
+        plan = self.faults
+        if plan is not None:
+            if plan.drop_rate or plan.duplicate_rate or plan.delay_rate:
+                parts.append(f"drop{plan.drop_rate:g}")
+            parts.extend(f"pe{c.pe}@{c.at:g}" for c in plan.crashes)
+        if self.kill is not None:
+            parts.append(
+                f"P{self.n_partitions} kill "
+                f"p{self.kill.partition}@w{self.kill.window}"
+            )
+        return "+".join(parts) or "none"
 
     def label(self) -> str:
-        return (
-            f"{self.app}/{self.variant}/drop{self.drop_rate:g}"
-            f"/seed{self.seed}"
-        )
-
-    def plan(self) -> FaultPlan:
-        """The deterministic fault schedule this cell injects."""
-        return FaultPlan(
-            seed=self.seed,
-            drop_rate=self.drop_rate,
-            duplicate_rate=self.duplicate_rate,
-            delay_rate=self.delay_rate,
-        )
+        return f"{self.app}/{self.variant}/{self.fault()}/seed{self.seed}"
 
 
 @dataclass
 class ChaosCell:
-    """Verdict of one chaos cell."""
+    """Verdict of one fault cell."""
 
     spec: ChaosSpec
     ok: bool
     time_ms: float = 0.0
     error: str = ""
-    #: Injected-fault and transport counters (``fault_summary``).
+    #: ``fault_summary`` of the run's counters (what was injected, what
+    #: the transport and recovery absorbed) plus the pooled driver's
+    #: ``WindowStats.resilience()`` (zero for in-process cells).
     faults: dict = field(default_factory=dict)
-    #: Telemetry phase breakdown (category -> simulated us summed over
-    #: ranks) when the cell ran traced; empty otherwise.
-    phases: dict = field(default_factory=dict)
-
-    def summary(self) -> str:
-        f = self.faults
-        return (
-            f"drops={f.get('fault_dropped', 0):.0f} "
-            f"retx={f.get('transport_retransmits', 0):.0f} "
-            f"dupsup={f.get('transport_duplicates_suppressed', 0):.0f}"
-        )
+    #: SHA-256 of the output array.
+    digest: str = ""
+    #: Content digest of every recovery checkpoint epoch, in order.
+    checkpoint_digests: list[str] = field(default_factory=list)
 
 
-def _build_app(spec: ChaosSpec):
-    """The seeded graph/app pair for a cell, plus its validator."""
-    graph = rmat(
-        scale=spec.scale, edge_factor=spec.edge_factor, seed=spec.seed + 31
-    )
+def _inputs(spec: ChaosSpec):
+    """The seeded graph, partition and BFS source of a cell."""
+    graph = rmat(scale=SCALE, edge_factor=EDGE_FACTOR, seed=spec.seed + 31)
     partition = bfs_grow_partition(graph, spec.n_gpus, seed=spec.seed)
+    return graph, partition, largest_component_vertex(graph)
+
+
+def _validator(spec: ChaosSpec, graph, source):
+    """Output check against the fault-free serial reference."""
     if spec.app == "bfs":
-        source = largest_component_vertex(graph)
-        app = AtosBFS(graph, partition, source)
         reference = reference_bfs(graph, source)
+        return lambda output: bool(
+            np.array_equal(np.asarray(output), reference)
+        )
+    reference = reference_pagerank(graph, epsilon=CHAOS_EPSILON)
+    return lambda output: pagerank_close(
+        np.asarray(output), reference, CHAOS_EPSILON
+    )
 
-        def validate(output) -> bool:
-            return bool(np.array_equal(np.asarray(output), reference))
 
+def _executor(
+    spec: ChaosSpec, inputs, recovery: Optional[RecoveryPolicy]
+) -> AtosExecutor:
+    graph, partition, source = inputs
+    if spec.app == "bfs":
+        app = AtosBFS(graph, partition, source)
     else:
         app = AtosPageRank(graph, partition, epsilon=CHAOS_EPSILON)
-        reference = reference_pagerank(graph, epsilon=CHAOS_EPSILON)
-
-        def validate(output) -> bool:
-            return pagerank_close(
-                np.asarray(output), reference, CHAOS_EPSILON
-            )
-
-    return app, validate
-
-
-def _config(
-    spec,
-    faults: Optional[FaultPlan],
-    retry: Optional[RetryPolicy],
-    recovery: Optional[RecoveryPolicy] = None,
-    telemetry: Optional[bool] = None,
-) -> AtosConfig:
     kernel, priority = CHAOS_VARIANTS[spec.variant]
-    return AtosConfig(
+    config = AtosConfig(
         kernel=kernel,
-        priority=priority,
+        # The priority queue applies to BFS only, as in AtosDriver.
+        priority=priority and spec.app == "bfs",
         fetch_size=1 if spec.app == "bfs" else 8,
         # Always exercise the aggregator flush path: it is the batch
         # send site the reliable transport wraps.  The small batch size
@@ -198,131 +245,211 @@ def _config(
         # rates to actually bite.
         use_aggregator=True,
         batch_size=1 << 12,
-        faults=faults,
-        retry=retry,
+        faults=spec.faults,
         recovery=recovery,
-        telemetry=telemetry,
+    )
+    return AtosExecutor(daisy(spec.n_gpus), app, config)
+
+
+def _partitioned(
+    spec: ChaosSpec, inputs, n_partitions: int, driver: str = "pooled",
+    **kwargs,
+) -> RunResult:
+    graph, partition, source = inputs
+    kernel, priority = CHAOS_VARIANTS[spec.variant]
+    return run_partitioned(
+        spec.app, graph, partition, daisy(spec.n_gpus),
+        n_partitions=n_partitions, driver=driver, source=source,
+        epsilon=CHAOS_EPSILON, kernel=kernel, priority=priority, **kwargs,
     )
 
 
-def _cell_phases(executor: AtosExecutor, makespan: float) -> dict:
-    """Category -> simulated us for a traced cell (empty when untraced)."""
-    if executor.telemetry is None:
-        return {}
-    from repro.telemetry.report import phase_breakdown
-
-    return {
-        cat: round(us, 3)
-        for cat, us in phase_breakdown(
-            executor.telemetry, makespan
-        ).items()
-    }
+def _output_digest(output) -> str:
+    array = np.ascontiguousarray(np.asarray(output))
+    h = hashlib.sha256(f"{array.dtype}|{array.shape}\n".encode())
+    h.update(array.tobytes())
+    return h.hexdigest()
 
 
-def run_chaos_cell(
-    spec: ChaosSpec,
-    retry: Optional[RetryPolicy] = None,
-    telemetry: Optional[bool] = None,
-) -> ChaosCell:
-    """Run one cell end to end and validate it.
+def run_chaos_cell(spec: ChaosSpec) -> ChaosCell:
+    """Run one cell end to end and judge it.
 
-    A cell passes only if the simulation terminates cleanly (the
-    resilient transport's retry budget was never exhausted, no
-    work-token underflow), every leased in-flight token was retired,
-    and the output matches the fault-free serial reference.
-
-    ``telemetry=True`` traces the cell and attaches its phase breakdown
-    (where the simulated time went during the faulted run) to the
-    verdict; ``None`` follows ``REPRO_TELEMETRY``.
+    A cell passes only if the run terminates (no exhausted retry
+    budget, no work-token underflow, no unrecoverable worker loss),
+    every leased in-flight token was retired or reclaimed, and the
+    output matches the fault-free serial reference — a faulted run is
+    *indistinguishable by result* from a clean one.  A kill cell must
+    also match the single-partition run's digest bit for bit.
     """
-    app, validate = _build_app(spec)
-    executor = AtosExecutor(
-        daisy(spec.n_gpus),
-        app,
-        _config(spec, spec.plan(), retry, telemetry=telemetry),
-    )
+    inputs = _inputs(spec)
+    stats = WindowStats()
+    leased, checkpoints, digest_ok = 0, [], True
     try:
-        makespan, counters = executor.run()
+        if spec.kill is None:
+            crashes = spec.faults is not None and spec.faults.crashes
+            executor = _executor(spec, inputs, RECOVERY if crashes else None)
+            makespan, counters = executor.run()
+            time_ms, output = makespan / 1000.0, executor.app.result()
+            if executor.ledger is not None:
+                leased = executor.ledger.leased
+            if executor.recovery is not None:
+                checkpoints = list(executor.recovery.checkpoint_digests)
+        else:
+            result = _partitioned(
+                spec, inputs, spec.n_partitions, stats=stats,
+                checkpoint_every=CHECKPOINT_EVERY, kill_plan=spec.kill,
+            )
+            time_ms, output, counters = (
+                result.time_ms, result.output, result.counters
+            )
+            serial = _partitioned(spec, inputs, 1, driver="local")
+            digest_ok = result.digest() == serial.digest()
     except SimulationError as exc:
         return ChaosCell(spec, ok=False, error=str(exc))
-    phases = _cell_phases(executor, makespan)
-    if executor.ledger is not None and executor.ledger.leased != 0:
-        return ChaosCell(
-            spec,
-            ok=False,
-            time_ms=makespan / 1000.0,
-            error=f"{executor.ledger.leased} in-flight token(s) never "
-            "retired",
-            faults=fault_summary(counters),
-            phases=phases,
-        )
-    if not validate(app.result()):
-        return ChaosCell(
-            spec,
-            ok=False,
-            time_ms=makespan / 1000.0,
-            error="output does not match the serial reference",
-            faults=fault_summary(counters),
-            phases=phases,
-        )
+    if leased:
+        error = f"{leased} in-flight token(s) never retired"
+    elif not _validator(spec, inputs[0], inputs[2])(output):
+        error = "output does not match the serial reference"
+    elif not digest_ok:
+        error = "digest mismatch vs serial reference"
+    else:
+        error = ""
     return ChaosCell(
         spec,
-        ok=True,
-        time_ms=makespan / 1000.0,
-        faults=fault_summary(counters),
-        phases=phases,
+        ok=not error,
+        time_ms=time_ms,
+        error=error,
+        faults={**fault_summary(counters), **stats.resilience()},
+        digest=_output_digest(output),
+        checkpoint_digests=checkpoints,
     )
+
+
+def chaos_specs(
+    drop_rates: tuple[float, ...] = DEFAULT_DROP_RATES,
+    crash_pes: tuple[int, ...] = (1,),
+    crash_times: Optional[tuple[float, ...]] = None,
+    kill_windows: tuple[int, ...] = DEFAULT_KILL_WINDOWS,
+    quick: bool = False,
+    seed: int = 0,
+    n_gpus: int = 4,
+) -> list[ChaosSpec]:
+    """The fault grid in table order: drop, crash, then kill cells.
+
+    Drop cells sweep app x variant x rate, crash cells app x variant x
+    rank x time (``crash_times`` None: each app's early and late
+    default), kill cells app x partition count x window.  ``quick``
+    keeps a smoke subset of each: BFS drops on two variants, the first
+    default crash per app on one variant, BFS kills at P=2 in the first
+    two windows.  An empty sequence leaves that kind out.  Bad input
+    raises ``ValueError`` or ``ConfigurationError`` here, before any
+    cell runs.
+    """
+    apps = ("bfs", "pagerank")
+    drop_variants = (
+        ("standard-persistent", "priority-discrete")
+        if quick
+        else tuple(CHAOS_VARIANTS)
+    )
+    specs = []
+    for app in apps[:1] if quick else apps:
+        for variant in drop_variants:
+            if app != "bfs" and variant == "priority-discrete":
+                # Priority applies to BFS only: this cell would repeat
+                # the standard-discrete one.
+                continue
+            for rate in drop_rates:
+                plan = FaultPlan(
+                    seed=seed, drop_rate=rate,
+                    duplicate_rate=DUPLICATE_RATE, delay_rate=DELAY_RATE,
+                )
+                specs.append(ChaosSpec(app, variant, plan, seed=seed,
+                                       n_gpus=n_gpus))
+    crash_variants = (
+        ("standard-persistent",)
+        if quick
+        else ("standard-persistent", "priority-discrete")
+    )
+    for app in apps:
+        times = crash_times
+        if times is None:
+            times = DEFAULT_CRASH_TIMES[app][: 1 if quick else None]
+        for variant in crash_variants:
+            for pe in crash_pes:
+                for at in times:
+                    plan = FaultPlan(seed=seed, crashes=(CrashEvent(pe, at),))
+                    specs.append(ChaosSpec(app, variant, plan, seed=seed,
+                                           n_gpus=n_gpus))
+    for app in apps[:1] if quick else apps:
+        for n_partitions in (2,) if quick else (2, 4):
+            for window in kill_windows[:2] if quick else kill_windows:
+                specs.append(ChaosSpec(
+                    app, kill=WorkerKillPlan(KILL_PARTITION, window),
+                    n_partitions=n_partitions, seed=seed, n_gpus=n_gpus,
+                ))
+    return specs
 
 
 def chaos_grid(
-    drop_rates: tuple[float, ...] = DEFAULT_DROP_RATES,
-    apps: tuple[str, ...] = ("bfs", "pagerank"),
-    variants: tuple[str, ...] = tuple(CHAOS_VARIANTS),
-    seed: int = 0,
-    n_gpus: int = 4,
-    retry: Optional[RetryPolicy] = None,
+    specs: Iterable[ChaosSpec], jobs: Optional[int] = None
 ) -> list[ChaosCell]:
-    """Run the full chaos grid in deterministic loop order."""
+    """Run ``specs`` through the pool harness; verdicts in spec order.
+
+    With ``jobs`` > 1 each cell runs in its own worker process; a cell
+    whose worker raised, timed out or died is a failed verdict.
+    """
+    from repro.harness.pool import run_grid
+
+    specs = list(specs)
+    results = run_grid(specs, jobs=jobs, run_fn=run_chaos_cell)
     return [
-        run_chaos_cell(
-            ChaosSpec(
-                app=app,
-                variant=variant,
-                drop_rate=rate,
-                seed=seed,
-                n_gpus=n_gpus,
-            ),
-            retry=retry,
+        cell.result
+        if cell.ok
+        else ChaosCell(
+            spec, ok=False,
+            error=(cell.error.strip().splitlines() or [cell.status])[-1],
         )
-        for app in apps
-        for variant in variants
-        for rate in drop_rates
+        for spec, cell in zip(specs, results)
     ]
 
 
+#: Table counter columns: header -> the counters summed into it.
+_COUNT_COLUMNS = {
+    "dropped": ("fault_dropped",),
+    "retx": ("transport_retransmits",),
+    "dupsup": ("transport_duplicates_suppressed",),
+    "ckpts": ("recovery_checkpoints_taken", "resilience_checkpoints_taken"),
+    "recov": ("recovery_ranks_recovered",),
+    "reclaim": ("recovery_tokens_reclaimed",),
+    "replay": ("recovery_replay_messages", "resilience_windows_replayed"),
+    "respawn": ("resilience_workers_respawned",),
+}
+
+
 def render_chaos(cells: list[ChaosCell]) -> str:
-    """Paper-style text table of a chaos grid's verdicts."""
-    rows = []
-    for cell in cells:
-        f = cell.faults
-        rows.append(
-            (
-                cell.spec.app,
-                cell.spec.variant,
-                f"{cell.spec.drop_rate:.2f}",
-                "pass" if cell.ok else "FAIL",
-                f"{cell.time_ms:.3f}",
-                f"{f.get('fault_dropped', 0):.0f}",
-                f"{f.get('transport_retransmits', 0):.0f}",
-                f"{f.get('transport_duplicates_suppressed', 0):.0f}",
-                cell.error,
-            )
+    """Paper-style text table of a fault grid's verdicts."""
+    rows = [
+        (
+            cell.spec.app,
+            cell.spec.variant,
+            cell.spec.fault(),
+            "pass" if cell.ok else "FAIL",
+            f"{cell.time_ms:.3f}",
+            *(
+                f"{sum(cell.faults.get(name, 0) for name in names):.0f}"
+                for names in _COUNT_COLUMNS.values()
+            ),
+            cell.error,
         )
+        for cell in cells
+    ]
     return format_generic_table(
-        "Chaos grid: validated runs under injected faults "
-        "(drop/dup/delay; ack+retransmit transport)",
-        ["app", "variant", "drop", "verdict", "ms", "dropped", "retx",
-         "dupsup", "error"],
+        "Chaos grid: message faults (ack+retransmit transport), rank "
+        "crashes (checkpoint/rollback/re-home) and worker kills (respawn "
+        "+ journal replay), validated against the serial reference; "
+        "replay counts messages for crashes, windows for kills",
+        ["app", "variant", "fault", "verdict", "ms", *_COUNT_COLUMNS,
+         "error"],
         rows,
     )
 
@@ -347,15 +474,10 @@ class _TraceDigest:
 
 
 def trace_digest_for(
-    spec: ChaosSpec,
-    faults: Optional[FaultPlan],
-    recovery: Optional[RecoveryPolicy] = None,
+    spec: ChaosSpec, recovery: Optional[RecoveryPolicy] = None
 ) -> tuple[str, float, dict]:
-    """(event digest, makespan, counters) of one traced cell run."""
-    app, _ = _build_app(spec)
-    executor = AtosExecutor(
-        daisy(spec.n_gpus), app, _config(spec, faults, None, recovery)
-    )
+    """(event digest, makespan, counters) of one traced in-process run."""
+    executor = _executor(spec, _inputs(spec), recovery)
     digest = _TraceDigest()
     executor.env.trace_hook = digest
     makespan, counters = executor.run()
@@ -363,530 +485,41 @@ def trace_digest_for(
 
 
 def verify_inert(seed: int = 0, apps: tuple[str, ...] = ("bfs",)) -> bool:
-    """Pin the zero-fault guarantee: an all-zero plan changes nothing.
+    """Prove the three idle fault layers leave a run unchanged.
 
-    For each app, runs the same seeded cell twice — ``faults=None``
-    versus an inert :class:`FaultPlan` — and requires bit-identical
-    event digests, makespans, and counters.  Raises
-    :class:`AssertionError` on any divergence; returns ``True``.
+    For each app, against the same seeded cell with no fault
+    machinery: an all-zero :class:`FaultPlan` and an idle
+    :class:`RecoveryPolicy` must each give bit-identical event digests,
+    makespans and counters (a plan without crashes never builds a
+    recovery coordinator), and a pooled two-partition run that takes
+    window checkpoints but loses no worker must give the checkpoint-free
+    run's digest.  Raises :class:`AssertionError` on any divergence;
+    returns ``True``.
     """
     for app in apps:
-        spec = ChaosSpec(app=app, variant="standard-persistent",
-                         drop_rate=0.0, seed=seed)
-        baseline = trace_digest_for(spec, None)
-        inert = trace_digest_for(spec, FaultPlan(seed=seed))
-        if baseline != inert:
-            raise AssertionError(
-                f"inert fault plan perturbed the {app} trace: "
-                f"{baseline[0][:16]} != {inert[0][:16]}"
-            )
-    return True
-
-
-# ------------------------------------------------------------ crash grid
-#: Default crash times (sim us) per app, chosen to land mid-run on the
-#: seeded chaos graphs (fault-free makespans: BFS ~40-80 us, PageRank
-#: ~300-1500 us depending on variant).  An early and a late crash per
-#: app: the early one rolls back to the bootstrap (epoch-0) checkpoint,
-#: the late one exercises replay from a periodic epoch.
-DEFAULT_CRASH_TIMES: dict[str, tuple[float, ...]] = {
-    "bfs": (15.0, 30.0),
-    "pagerank": (80.0, 180.0),
-}
-
-
-@dataclass(frozen=True)
-class CrashSpec:
-    """One crash cell: app x variant x (crash rank, crash time), seeded.
-
-    Like :class:`ChaosSpec`, the graph, partition, crash schedule, and
-    recovery policy are pure functions of the fields, so a cell is
-    exactly replayable — including its checkpoint content digests.
-    """
-
-    app: str
-    variant: str
-    crash_pe: int
-    crash_at: float
-    seed: int = 0
-    scale: int = 9
-    edge_factor: int = 8
-    n_gpus: int = 4
-    checkpoint_interval: float = 40.0
-    detect_interval: float = 5.0
-    drain_poll: float = 1.0
-
-    def __post_init__(self) -> None:
-        if self.app not in ("bfs", "pagerank"):
-            raise ValueError(f"unknown crash app {self.app!r}")
-        if self.variant not in CHAOS_VARIANTS:
-            raise ValueError(
-                f"unknown variant {self.variant!r}; "
-                f"known: {sorted(CHAOS_VARIANTS)}"
-            )
-        if not 0 <= self.crash_pe < self.n_gpus:
-            raise ValueError("crash_pe out of range")
-        if self.crash_at < 0:
-            raise ValueError("crash_at must be non-negative")
-
-    def label(self) -> str:
-        return (
-            f"{self.app}/{self.variant}/pe{self.crash_pe}"
-            f"@{self.crash_at:g}/seed{self.seed}"
-        )
-
-    def plan(self) -> FaultPlan:
-        """The fail-stop schedule: one crash, no message faults."""
-        return FaultPlan(
-            seed=self.seed,
-            crashes=(CrashEvent(pe=self.crash_pe, at=self.crash_at),),
-        )
-
-    def policy(self) -> RecoveryPolicy:
-        return RecoveryPolicy(
-            checkpoint_interval=self.checkpoint_interval,
-            detect_interval=self.detect_interval,
-            drain_poll=self.drain_poll,
-        )
-
-
-@dataclass
-class CrashCell:
-    """Verdict of one crash cell."""
-
-    spec: CrashSpec
-    ok: bool
-    time_ms: float = 0.0
-    error: str = ""
-    #: Ranks the coordinator actually recovered around.  Zero is legal:
-    #: a crash landing after the rank's last useful round lets the run
-    #: finish before the detector's next tick.
-    recovered: int = 0
-    #: SHA-256 of the validated output array (determinism suite).
-    result_digest: str = ""
-    #: Content digest of every checkpoint epoch, in order.
-    checkpoint_digests: list[str] = field(default_factory=list)
-    #: Fault/transport/recovery counters (``fault_summary``).
-    faults: dict = field(default_factory=dict)
-    #: Telemetry phase breakdown (category -> simulated us summed over
-    #: ranks, recovery parking included) when traced; empty otherwise.
-    phases: dict = field(default_factory=dict)
-
-    def summary(self) -> str:
-        f = self.faults
-        return (
-            f"ckpts={f.get('recovery_checkpoints_taken', 0):.0f} "
-            f"reclaimed={f.get('recovery_tokens_reclaimed', 0):.0f} "
-            f"replayed={f.get('recovery_replay_messages', 0):.0f}"
-        )
-
-
-def _result_digest(output) -> str:
-    array = np.ascontiguousarray(np.asarray(output))
-    h = hashlib.sha256(f"{array.dtype}|{array.shape}\n".encode())
-    h.update(array.tobytes())
-    return h.hexdigest()
-
-
-def run_crash_cell(
-    spec: CrashSpec, telemetry: Optional[bool] = None
-) -> CrashCell:
-    """Run one fail-stop cell end to end and validate it.
-
-    A cell passes only if the simulation terminates (recovery rerouted
-    the dead rank's work), every leased token was retired or reclaimed,
-    and the output matches the fault-free serial reference — i.e. a
-    crashed run is *indistinguishable by result* from a clean one.
-
-    ``telemetry=True`` traces the cell — recovery barrier parking shows
-    up as the ``recovery`` category in the attached phase breakdown.
-    """
-    app, validate = _build_app(spec)
-    executor = AtosExecutor(
-        daisy(spec.n_gpus),
-        app,
-        _config(spec, spec.plan(), None, spec.policy(),
-                telemetry=telemetry),
-    )
-    try:
-        makespan, counters = executor.run()
-    except SimulationError as exc:
-        return CrashCell(spec, ok=False, error=str(exc))
-    phases = _cell_phases(executor, makespan)
-    digests = list(executor.recovery.checkpoint_digests)
-    recovered = int(counters["recovery_ranks_recovered"])
-    if executor.ledger.leased != 0:
-        return CrashCell(
-            spec,
-            ok=False,
-            time_ms=makespan / 1000.0,
-            error=f"{executor.ledger.leased} in-flight token(s) never "
-            "retired",
-            recovered=recovered,
-            checkpoint_digests=digests,
-            faults=fault_summary(counters),
-            phases=phases,
-        )
-    output = app.result()
-    if not validate(output):
-        return CrashCell(
-            spec,
-            ok=False,
-            time_ms=makespan / 1000.0,
-            error="output does not match the serial reference",
-            recovered=recovered,
-            checkpoint_digests=digests,
-            faults=fault_summary(counters),
-            phases=phases,
-        )
-    return CrashCell(
-        spec,
-        ok=True,
-        time_ms=makespan / 1000.0,
-        recovered=recovered,
-        result_digest=_result_digest(output),
-        checkpoint_digests=digests,
-        faults=fault_summary(counters),
-        phases=phases,
-    )
-
-
-def crash_grid(
-    crash_times: Optional[dict[str, tuple[float, ...]]] = None,
-    apps: tuple[str, ...] = ("bfs", "pagerank"),
-    variants: tuple[str, ...] = ("standard-persistent", "priority-discrete"),
-    crash_pes: tuple[int, ...] = (1,),
-    seed: int = 0,
-    n_gpus: int = 4,
-    jobs: Optional[int] = None,
-) -> list[CrashCell]:
-    """Run the fail-stop grid: app x variant x crash rank x crash time.
-
-    With ``jobs`` > 1 the cells run in worker processes through the
-    pool harness (:func:`repro.harness.pool.run_grid`), which doubles
-    as the determinism check's serial-vs-pooled executor.  Results are
-    in deterministic spec order either way.
-    """
-    times = crash_times or DEFAULT_CRASH_TIMES
-    specs = [
-        CrashSpec(
-            app=app,
-            variant=variant,
-            crash_pe=pe,
-            crash_at=at,
-            seed=seed,
-            n_gpus=n_gpus,
-        )
-        for app in apps
-        for variant in variants
-        for pe in crash_pes
-        for at in times[app]
-    ]
-    if jobs is not None and jobs != 1:
-        from repro.harness.pool import run_grid
-
-        results = run_grid(specs, jobs=jobs, run_fn=run_crash_cell)
-        return [
-            cell.result
-            if cell.ok
-            else CrashCell(spec, ok=False, error=cell.error or cell.status)
-            for spec, cell in zip(specs, results)
-        ]
-    return [run_crash_cell(spec) for spec in specs]
-
-
-def render_crash(cells: list[CrashCell]) -> str:
-    """Paper-style text table of a crash grid's verdicts."""
-    rows = []
-    for cell in cells:
-        f = cell.faults
-        rows.append(
-            (
-                cell.spec.app,
-                cell.spec.variant,
-                f"pe{cell.spec.crash_pe}@{cell.spec.crash_at:g}",
-                "pass" if cell.ok else "FAIL",
-                f"{cell.time_ms:.3f}",
-                f"{f.get('recovery_checkpoints_taken', 0):.0f}",
-                f"{cell.recovered}",
-                f"{f.get('recovery_tokens_reclaimed', 0):.0f}",
-                f"{f.get('recovery_replay_messages', 0):.0f}",
-                cell.error,
-            )
-        )
-    return format_generic_table(
-        "Crash grid: fail-stop rank recovery (checkpoint/rollback/"
-        "re-home), validated against the serial reference",
-        ["app", "variant", "crash", "verdict", "ms", "ckpts", "recov",
-         "reclaim", "replay", "error"],
-        rows,
-    )
-
-
-def verify_recovery_inert(
-    seed: int = 0, apps: tuple[str, ...] = ("bfs",)
-) -> bool:
-    """Pin the recovery layer's zero-cost guarantee.
-
-    For each app, runs the same seeded crash-free cell twice — no
-    recovery policy versus an explicit :class:`RecoveryPolicy` — and
-    requires bit-identical event digests, makespans, and counters: a
-    plan without crashes must never construct a coordinator.  Raises
-    :class:`AssertionError` on divergence; returns ``True``.
-    """
-    for app in apps:
-        spec = ChaosSpec(app=app, variant="standard-persistent",
-                         drop_rate=0.0, seed=seed)
-        baseline = trace_digest_for(spec, None, recovery=None)
-        with_policy = trace_digest_for(
-            spec, None, recovery=RecoveryPolicy()
-        )
-        if baseline != with_policy:
-            raise AssertionError(
-                f"idle recovery policy perturbed the {app} trace: "
-                f"{baseline[0][:16]} != {with_policy[0][:16]}"
-            )
-    return True
-
-
-# -- pdes kill grid: worker loss under the partitioned driver ------------
-
-#: Default windows at which the grid kills a worker.  Window 0 loses
-#: the worker before any barrier state exists (replay from an empty
-#: journal); later windows exercise mid-run journal replay across
-#: checkpoint barriers.
-DEFAULT_KILL_WINDOWS = (0, 2, 5)
-
-
-@dataclass(frozen=True)
-class PdesKillSpec:
-    """One kill cell: app x partition count x kill site, seeded.
-
-    The graph, the partition map, and the kill schedule are pure
-    functions of the spec, so a cell is exactly replayable.  The kill
-    fires in ``kill_partition``'s worker at its ``kill_window``-th
-    *executed* window (idle-skipped windows do not advance the count):
-    the worker closes its pipe and hard-exits before running the
-    window, and the coordinator must respawn + replay it.
-    """
-
-    app: str
-    n_partitions: int
-    kill_window: int
-    kill_partition: int = 1
-    seed: int = 0
-    scale: int = 9
-    edge_factor: int = 8
-    n_gpus: int = 4
-    checkpoint_every: Optional[int] = 3
-
-    def __post_init__(self) -> None:
-        if self.app not in ("bfs", "pagerank"):
-            raise ValueError(f"unknown pdes app {self.app!r}")
-        if not 0 <= self.kill_partition < self.n_partitions:
-            raise ValueError(
-                f"kill_partition {self.kill_partition} out of range for "
-                f"{self.n_partitions} partitions"
-            )
-        if self.kill_window < 0:
-            raise ValueError("kill_window must be >= 0")
-
-    def label(self) -> str:
-        return (
-            f"{self.app}/P{self.n_partitions}"
-            f"/kill p{self.kill_partition}@w{self.kill_window}"
-            f"/seed{self.seed}"
-        )
-
-
-@dataclass
-class PdesKillCell:
-    """Verdict for one kill cell (digest vs the serial reference)."""
-
-    spec: PdesKillSpec
-    ok: bool
-    time_ms: float = 0.0
-    windows: int = 0
-    kill_fired: bool = False
-    checkpoints_taken: int = 0
-    windows_replayed: int = 0
-    workers_respawned: int = 0
-    digest: str = ""
-    error: str = ""
-
-    def summary(self) -> str:
-        verdict = "pass" if self.ok else "FAIL"
-        return (
-            f"{self.spec.label():<36} {verdict}  "
-            f"respawned={self.workers_respawned} "
-            f"replayed={self.windows_replayed}"
-        )
-
-
-def _pdes_inputs(spec: PdesKillSpec):
-    """Seeded graph / partition / BFS source for one kill cell."""
-    graph = rmat(
-        scale=spec.scale, edge_factor=spec.edge_factor, seed=spec.seed + 31
-    )
-    partition = bfs_grow_partition(graph, spec.n_gpus, seed=spec.seed)
-    source = largest_component_vertex(graph)
-    return graph, partition, source
-
-
-def pdes_serial_digest(spec: PdesKillSpec) -> str:
-    """Digest of the single-partition (serial) reference for ``spec``."""
-    from repro.runtime.partitioned import run_partitioned
-
-    graph, partition, source = _pdes_inputs(spec)
-    result = run_partitioned(
-        spec.app, graph, partition, daisy(spec.n_gpus),
-        n_partitions=1, driver="local", source=source,
-        epsilon=CHAOS_EPSILON,
-    )
-    return result.digest()
-
-
-def run_pdes_kill_cell(
-    spec: PdesKillSpec, serial_digest: Optional[str] = None
-) -> PdesKillCell:
-    """One kill cell: pooled run with an injected worker kill.
-
-    Passes iff the run completes despite losing a worker and its final
-    :class:`~repro.metrics.counters.RunResult` digest is bit-identical
-    to the serial (single-partition) reference — respawn-and-replay
-    must be invisible in the outcome.
-    """
-    from repro.runtime.partitioned import WorkerKillPlan, run_partitioned
-    from repro.sim.partition import WindowStats
-
-    if serial_digest is None:
-        serial_digest = pdes_serial_digest(spec)
-    graph, partition, source = _pdes_inputs(spec)
-    stats = WindowStats()
-    try:
-        result = run_partitioned(
-            spec.app, graph, partition, daisy(spec.n_gpus),
-            n_partitions=spec.n_partitions, driver="pooled",
-            source=source, epsilon=CHAOS_EPSILON, stats=stats,
-            checkpoint_every=spec.checkpoint_every,
-            kill_plan=WorkerKillPlan(
-                partition=spec.kill_partition, window=spec.kill_window
-            ),
-        )
-    except (ReproError, SimulationError) as exc:
-        return PdesKillCell(spec, ok=False, error=str(exc))
-    ok = result.digest() == serial_digest
-    return PdesKillCell(
-        spec,
-        ok=ok,
-        time_ms=result.time_ms,
-        windows=stats.windows,
-        kill_fired=stats.workers_respawned > 0,
-        checkpoints_taken=stats.checkpoints_taken,
-        windows_replayed=stats.windows_replayed,
-        workers_respawned=stats.workers_respawned,
-        digest=result.digest()[:16],
-        error="" if ok else "digest mismatch vs serial reference",
-    )
-
-
-def pdes_kill_grid(
-    apps: tuple[str, ...] = ("bfs", "pagerank"),
-    partition_counts: tuple[int, ...] = (2, 4),
-    kill_windows: tuple[int, ...] = DEFAULT_KILL_WINDOWS,
-    seed: int = 0,
-    scale: int = 9,
-) -> list[PdesKillCell]:
-    """Run the kill grid: app x partition count x kill window.
-
-    The serial reference digest is computed once per app (it does not
-    depend on the partition count or the kill site) and shared across
-    that app's cells, so the grid's cost is dominated by the killed
-    pooled runs themselves.
-    """
-    cells: list[PdesKillCell] = []
-    for app in apps:
-        ref = pdes_serial_digest(
-            PdesKillSpec(
-                app=app, n_partitions=2, kill_window=0,
-                seed=seed, scale=scale,
-            )
-        )
-        for n_partitions in partition_counts:
-            for window in kill_windows:
-                spec = PdesKillSpec(
-                    app=app,
-                    n_partitions=n_partitions,
-                    kill_window=window,
-                    seed=seed,
-                    scale=scale,
+        spec = ChaosSpec(app=app, seed=seed)
+        baseline = trace_digest_for(spec)
+        for layer, run in (
+            ("inert fault plan",
+             trace_digest_for(replace(spec, faults=FaultPlan(seed=seed)))),
+            ("idle recovery policy",
+             trace_digest_for(spec, recovery=RecoveryPolicy())),
+        ):
+            if run != baseline:
+                raise AssertionError(
+                    f"{layer} perturbed the {app} trace: "
+                    f"{baseline[0][:16]} != {run[0][:16]}"
                 )
-                cells.append(run_pdes_kill_cell(spec, serial_digest=ref))
-    return cells
-
-
-def render_pdes_kill(cells: list[PdesKillCell]) -> str:
-    """Paper-style text table of a pdes kill grid's verdicts."""
-    rows = []
-    for cell in cells:
-        rows.append(
-            (
-                cell.spec.app,
-                f"{cell.spec.n_partitions}",
-                f"p{cell.spec.kill_partition}@w{cell.spec.kill_window}",
-                "pass" if cell.ok else "FAIL",
-                f"{cell.time_ms:.3f}",
-                f"{cell.windows}",
-                f"{cell.checkpoints_taken}",
-                f"{cell.workers_respawned}",
-                f"{cell.windows_replayed}",
-                cell.error,
-            )
-        )
-    return format_generic_table(
-        "PDES kill grid: worker loss under the pooled partitioned "
-        "driver (respawn + journal replay), digest-pinned to the "
-        "serial reference",
-        ["app", "P", "kill", "verdict", "ms", "windows", "ckpts",
-         "respawn", "replay", "error"],
-        rows,
-    )
-
-
-def verify_pdes_checkpoint_inert(
-    seed: int = 0, apps: tuple[str, ...] = ("bfs",), scale: int = 9
-) -> bool:
-    """Pin the checkpoint layer's zero-cost guarantee.
-
-    For each app, runs the same seeded pooled two-partition cell twice
-    — checkpointing off versus ``checkpoint_every=2`` — with no kill
-    injected, and requires bit-identical result digests: taking a
-    checkpoint must observe replica state, never perturb it.  Raises
-    :class:`AssertionError` on divergence; returns ``True``.
-    """
-    from repro.runtime.partitioned import run_partitioned
-    from repro.sim.partition import WindowStats
-
-    for app in apps:
-        spec = PdesKillSpec(
-            app=app, n_partitions=2, kill_window=0, seed=seed, scale=scale
-        )
-        graph, partition, source = _pdes_inputs(spec)
-        baseline = run_partitioned(
-            app, graph, partition, daisy(spec.n_gpus),
-            n_partitions=2, driver="pooled", source=source,
-            epsilon=CHAOS_EPSILON,
-        )
+        inputs = _inputs(spec)
+        plain = _partitioned(spec, inputs, 2).digest()
         stats = WindowStats()
-        checkpointed = run_partitioned(
-            app, graph, partition, daisy(spec.n_gpus),
-            n_partitions=2, driver="pooled", source=source,
-            epsilon=CHAOS_EPSILON, stats=stats, checkpoint_every=2,
-        )
-        if baseline.digest() != checkpointed.digest():
+        checkpointed = _partitioned(
+            spec, inputs, 2, stats=stats, checkpoint_every=2
+        ).digest()
+        if plain != checkpointed:
             raise AssertionError(
                 f"checkpointing perturbed the {app} run: "
-                f"{baseline.digest()[:16]} != {checkpointed.digest()[:16]}"
+                f"{plain[:16]} != {checkpointed[:16]}"
             )
         if stats.checkpoints_taken == 0:
             raise AssertionError(

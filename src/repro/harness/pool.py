@@ -465,10 +465,12 @@ class WorkerPool:
         """Start ``job``'s worker; returns the parent end of its pipe."""
         parent_conn, child_conn = self._ctx.Pipe(duplex=False)
         try:
+            # Not daemonic: a cell may start processes of its own (a
+            # pooled-PDES kill cell does), and the pool reaps every
+            # worker itself.
             job.process = self._ctx.Process(
                 target=_worker_main,
                 args=(child_conn, job.spec, job.run_fn),
-                daemon=True,
                 name="repro-cell",
             )
             job.process.start()
@@ -501,6 +503,8 @@ class WorkerPool:
                         wall_clock_s=now - job.started,
                         failure=WorkerCrashed(
                             f"{spec.framework}:{spec.app}:{spec.dataset}"
+                            if isinstance(spec, RunSpec)
+                            else spec.label()
                         ),
                     )
                 else:

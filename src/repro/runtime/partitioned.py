@@ -60,7 +60,7 @@ partition's window journal into it (see
 :mod:`repro.sim.partition`).  ``checkpoint_every`` enables barrier
 checkpoints (replica snapshots via the ``snapshot`` worker RPC) that
 verify the replay; :class:`WorkerKillPlan` injects a deterministic
-kill for the chaos harness (``repro pdes-chaos``).
+kill for the fault grid (``repro chaos``).
 """
 
 from __future__ import annotations
@@ -574,7 +574,7 @@ class WorkerKillPlan:
     executing its ``window``-th one (0-based).  ``P=1`` serial workers
     exit before running at all.  Replacement workers never inherit the
     plan, so a killed run terminates after exactly one injected loss.
-    Used by the ``repro pdes-chaos`` harness to pin digest equality
+    Used by the ``repro chaos`` fault grid to pin digest equality
     under real process death.
     """
 
@@ -701,9 +701,15 @@ class _WorkerHost:
         return self._call("finalize", t_done)
 
     def close(self, timeout: float = 30.0) -> None:
-        """Best-effort shutdown: polite exit, close, join, then kill."""
+        """Best-effort shutdown: polite exit, close, join, then kill.
+
+        Closing twice is a no-op: the engine's final sweep skips a host
+        its recover path already closed, so every pipe has one closer.
+        """
         from repro.harness.pool import _stop_process
 
+        if self.conn.closed:
+            return
         try:
             self.conn.send(("exit",))
         except (BrokenPipeError, OSError):

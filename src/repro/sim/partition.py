@@ -61,7 +61,7 @@ window-by-window its replayed reports must match the journal.  Any
 divergence raises :class:`~repro.errors.RecoveryError` instead of
 silently producing a different answer.  Snapshots are read-only, so a
 zero-kill run with checkpointing enabled is digest-identical to a
-checkpoint-free run (pinned by ``repro pdes-chaos --verify-inert``).
+checkpoint-free run (pinned by ``repro chaos --verify-inert``).
 """
 
 from __future__ import annotations

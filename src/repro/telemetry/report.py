@@ -9,8 +9,7 @@ vs. idle per GPU) computed from a run's recorded spans:
   categories (comm/agg_wait) are reported alongside as utilization;
 * :func:`imbalance_stats` — the load-imbalance diagnostics
   (max/mean factor, coefficient of variation) over per-rank busy time;
-* :func:`phase_breakdown` — the compact whole-run category→us summary
-  the chaos harness attaches next to its digests.
+* :func:`phase_breakdown` — the compact whole-run category→us summary.
 """
 
 from __future__ import annotations
@@ -91,8 +90,7 @@ def imbalance_stats(
 def phase_breakdown(telemetry: Telemetry, makespan: float) -> dict[str, float]:
     """Whole-run category → total simulated us, summed over ranks.
 
-    The compact summary attached next to the digests of the chaos/crash
-    grid cells ("where did the time go").
+    The compact "where did the time go" summary of one run.
     """
     per_rank = rank_breakdown(telemetry, makespan)
     out: dict[str, float] = {}

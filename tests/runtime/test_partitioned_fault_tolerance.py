@@ -10,7 +10,7 @@ observation-only: enabling them on a kill-free run must not perturb
 a single bit.
 
 Everything runs on a small RMAT graph so the matrix stays in tier-1
-time; ``python -m repro pdes-chaos`` pins the same contract on the
+time; ``python -m repro chaos`` pins the same contract on the
 larger seeded grid.
 """
 

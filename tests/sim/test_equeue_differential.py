@@ -14,9 +14,10 @@ changes when it is switched on.  This suite pins that at three levels:
   reference loop;
 * **end to end** — identical :meth:`RunResult.digest` for an evaluation
   cell (a real dataset) run through the harness on each queue;
-* **grid level** — the chaos and recovery inertness guarantees
-  (zero-fault plans trace-identical to no plan; crash-free runs
-  recovery-inert) hold under ``REPRO_ENGINE_QUEUE=calendar`` too.
+* **grid level** — the fault grid's inertness guarantees (zero-fault
+  plans trace-identical to no plan; crash-free runs recovery-inert;
+  idle window checkpoints digest-inert) hold under
+  ``REPRO_ENGINE_QUEUE=calendar`` too.
 """
 
 import random
@@ -30,12 +31,7 @@ from repro.faults import CrashEvent, FaultPlan
 from repro.graph import bfs_grow_partition, largest_component_vertex, rmat
 from repro.apps import AtosBFS, AtosPageRank
 from repro.harness import clear_memory_cache, run
-from repro.harness.chaos import (
-    ChaosSpec,
-    trace_digest_for,
-    verify_inert,
-    verify_recovery_inert,
-)
+from repro.harness.chaos import ChaosSpec, trace_digest_for, verify_inert
 from repro.recovery import RecoveryPolicy
 from repro.runtime import AtosConfig, AtosExecutor
 from repro.sim.equeue import ENGINE_QUEUE_ENV, CalendarQueue, HeapQueue
@@ -223,11 +219,11 @@ def test_fault_plan_digests_identical_heap_vs_calendar(
     faults, recovery, monkeypatch
 ):
     spec = ChaosSpec(app="bfs", variant="standard-persistent",
-                     drop_rate=0.0, seed=0)
+                     faults=faults, seed=0)
     monkeypatch.setenv(ENGINE_QUEUE_ENV, "heap")
-    heap = trace_digest_for(spec, faults, recovery)
+    heap = trace_digest_for(spec, recovery)
     monkeypatch.setenv(ENGINE_QUEUE_ENV, "calendar")
-    calendar = trace_digest_for(spec, faults, recovery)
+    calendar = trace_digest_for(spec, recovery)
     assert heap == calendar
 
 
@@ -239,4 +235,7 @@ def test_chaos_inertness_holds_under_calendar(monkeypatch):
 
 def test_recovery_inertness_holds_under_calendar(monkeypatch):
     monkeypatch.setenv(ENGINE_QUEUE_ENV, "calendar")
-    assert verify_recovery_inert(seed=0, apps=("bfs",))
+    spec = ChaosSpec(app="bfs", seed=0)
+    assert trace_digest_for(spec) == trace_digest_for(
+        spec, recovery=RecoveryPolicy()
+    )
