@@ -8,8 +8,8 @@ Public API tour:
 * :mod:`repro.gpu` — GPU device model (occupancy, workers, atomics).
 * :mod:`repro.interconnect` — NVLink / PCIe / InfiniBand models.
 * :mod:`repro.queues` — the Atos counter queue and its baselines.
-* :mod:`repro.pgas` — symmetric heap and one-sided operations.
-* :mod:`repro.runtime` — the Atos runtime (queues, aggregator, executor).
+* :mod:`repro.runtime` — the Atos runtime (queues, aggregator, executor;
+  remote updates leave through the aggregator as one-sided sends).
 * :mod:`repro.apps` — BFS and PageRank applications.
 * :mod:`repro.frameworks` — Atos + Gunrock/Groute/Galois-like drivers.
 * :mod:`repro.graph` — CSR graphs, generators, datasets, partitioners.

@@ -65,15 +65,41 @@ def _cmd_datasets(args: argparse.Namespace) -> int:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    if args.partitions > 1:
-        result = _run_partitioned_cell(args)
-    else:
-        from repro.harness import run
+    from repro.config import ConfigOverlay
+    from repro.errors import ConfigError
+    from repro.harness import run
 
-        result = run(
+    def run_cell(overlay=None):
+        return run(
             args.framework, args.app, args.dataset, args.machine, args.gpus,
-            seed=args.seed,
+            seed=args.seed, overlay=overlay,
         )
+
+    overlay = None
+    if args.partitions > 1:
+        overlay = ConfigOverlay(partitions=args.partitions,
+                                pdes_driver=args.pdes_driver)
+    try:
+        result = run_cell(overlay)
+    except ConfigError as exc:
+        print(f"repro run: error: {exc}", file=sys.stderr)
+        return 2
+    if overlay is not None:
+        stats = result.host_stats
+        print(
+            f"partitioned ({args.pdes_driver}, {args.partitions} "
+            f"partitions): {stats['windows']} windows, "
+            f"{stats['total_exports']} cross-partition messages, "
+            f"{stats['idle_partition_windows']} idle partition-windows"
+        )
+        if args.verify_digest:
+            serial = run_cell()
+            if result.digest() != serial.digest():
+                raise SystemExit(
+                    f"digest mismatch vs serial: {result.digest()[:16]} "
+                    f"!= {serial.digest()[:16]}"
+                )
+            print(f"digest matches serial: {result.digest()[:16]}")
     print(
         f"{result.framework} {result.app} on {result.dataset} "
         f"({args.machine}, {result.n_gpus} GPUs): {result.time_ms:.3f} ms"
@@ -82,68 +108,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         for key in sorted(result.counters):
             print(f"  {key:<28} {result.counters[key]:.0f}")
     return 0
-
-
-def _run_partitioned_cell(args: argparse.Namespace):
-    """``run --partitions N``: the partitioned engine instead of the
-    serial one (atos-* frameworks only — the partitioned driver mirrors
-    the Atos executor).  Simulated results are digest-identical to the
-    serial path; what changes is host wall-clock."""
-    from repro.graph import bfs_source, load
-    from repro.harness.runner import (
-        PR_EPSILON,
-        get_driver,
-        get_machine,
-        get_partition,
-    )
-    from repro.runtime.partitioned import run_partitioned
-    from repro.sim.partition import WindowStats
-
-    driver = get_driver(args.framework)
-    if not hasattr(driver, "kernel") or not hasattr(driver, "base_config"):
-        raise SystemExit(
-            f"--partitions requires an atos-* framework, got "
-            f"{args.framework!r}"
-        )
-    graph = load(args.dataset)
-    machine = get_machine(args.machine, args.gpus)
-    partition = get_partition(args.dataset, args.gpus, args.seed)
-    stats = WindowStats()
-    result = run_partitioned(
-        args.app,
-        graph,
-        partition,
-        machine,
-        n_partitions=args.partitions,
-        driver=args.pdes_driver,
-        source=bfs_source(args.dataset) if args.app == "bfs" else 0,
-        epsilon=PR_EPSILON,
-        dataset=args.dataset,
-        kernel=driver.kernel,
-        priority=driver.priority,
-        variant_name=driver.name,
-        base_config=driver.base_config,
-        stats=stats,
-    )
-    print(
-        f"partitioned ({args.pdes_driver}, {args.partitions} partitions): "
-        f"{stats.windows} windows, {stats.total_exports} cross-partition "
-        f"messages, {stats.idle_partition_windows} idle partition-windows"
-    )
-    if args.verify_digest:
-        from repro.harness import run
-
-        serial = run(
-            args.framework, args.app, args.dataset, args.machine,
-            args.gpus, seed=args.seed,
-        )
-        if result.digest() != serial.digest():
-            raise SystemExit(
-                f"digest mismatch vs serial: {result.digest()[:16]} != "
-                f"{serial.digest()[:16]}"
-            )
-        print(f"digest matches serial: {result.digest()[:16]}")
-    return result
 
 
 def _cmd_table2(args: argparse.Namespace) -> int:

@@ -97,10 +97,6 @@ class QueueFullError(ReproError):
     """A bounded concurrent queue overflowed its capacity."""
 
 
-class QueueEmptyError(ReproError):
-    """A pop was attempted on a queue with no committed items."""
-
-
 class PartitionError(ReproError):
     """A graph partitioning request was invalid or infeasible."""
 
@@ -123,10 +119,6 @@ class ConfigError(ConfigurationError):
     any worker is forked for it.  Subclasses
     :class:`ConfigurationError` so existing handlers keep working.
     """
-
-
-class PGASError(ReproError):
-    """An invalid one-sided memory operation (bad PE, bad offset, ...)."""
 
 
 class ConvergenceError(ReproError):

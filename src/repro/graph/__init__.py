@@ -26,12 +26,6 @@ from repro.graph.partition import (
     random_partition,
     rehome_partition,
 )
-from repro.graph.io import (
-    read_edge_list,
-    read_matrix_market,
-    write_edge_list,
-    write_matrix_market,
-)
 from repro.graph.weights import (
     WeightedGraph,
     geometric_weights,
@@ -76,8 +70,4 @@ __all__ = [
     "WeightedGraph",
     "uniform_weights",
     "geometric_weights",
-    "read_edge_list",
-    "write_edge_list",
-    "read_matrix_market",
-    "write_matrix_market",
 ]

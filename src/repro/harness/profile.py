@@ -15,7 +15,6 @@ bookkeeping counters.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Optional
 
@@ -87,20 +86,13 @@ def run_profile(
     """
     # Imported here, not at module top: the runner imports the full
     # driver stack, which profile-only users shouldn't pay for.
-    from repro.harness.runner import _compute, get_machine
+    from repro.harness.runner import _compute, get_machine, pinned_env
 
     machine = get_machine(machine_name, n_gpus)
-    saved = os.environ.get(TELEMETRY_ENV)
-    os.environ[TELEMETRY_ENV] = "1"
-    try:
+    with pinned_env(TELEMETRY_ENV, "1"):
         result = _compute(
             framework, app, dataset, n_gpus, validate, machine, seed=seed
         )
-    finally:
-        if saved is None:
-            os.environ.pop(TELEMETRY_ENV, None)
-        else:
-            os.environ[TELEMETRY_ENV] = saved
     if result.telemetry is None:
         raise ConfigurationError(
             f"framework {framework!r} does not support span tracing "

@@ -45,6 +45,7 @@ from repro.graph import bfs_grow_partition, bfs_source, load, random_partition
 from repro.graph.partition import Partition
 from repro.gpu.kernel import KernelStrategy
 from repro.metrics.counters import RunResult
+from repro.sim.equeue import ENGINE_QUEUE_ENV
 from repro.apps.validation import (
     pagerank_close,
     reference_bfs,
@@ -224,27 +225,27 @@ def clear_memory_cache() -> None:
 
 
 @contextlib.contextmanager
-def _engine_queue_env(name: Optional[str]) -> Iterator[None]:
-    """Temporarily pin ``REPRO_ENGINE_QUEUE`` for one computation.
+def pinned_env(name: str, value: Optional[str]) -> Iterator[None]:
+    """Temporarily set the environment variable ``name`` to ``value``.
 
-    The engine reads the variable per Environment construction, so
-    setting it around the compute (and restoring afterwards) is the
-    process-safe way to select the queue for exactly one run.
+    The engine reads ``REPRO_ENGINE_QUEUE`` and the executor reads
+    ``REPRO_TELEMETRY`` per construction, so setting them around one
+    compute (and restoring afterwards) is the process-safe way to
+    select the queue or tracing for exactly one run.  ``value=None``
+    leaves the environment untouched.
     """
-    if name is None:
+    if value is None:
         yield
         return
-    from repro.sim.equeue import ENGINE_QUEUE_ENV
-
-    prev = os.environ.get(ENGINE_QUEUE_ENV)
-    os.environ[ENGINE_QUEUE_ENV] = name
+    prev = os.environ.get(name)
+    os.environ[name] = value
     try:
         yield
     finally:
         if prev is None:
-            os.environ.pop(ENGINE_QUEUE_ENV, None)
+            os.environ.pop(name, None)
         else:
-            os.environ[ENGINE_QUEUE_ENV] = prev
+            os.environ[name] = prev
 
 
 def run(
@@ -351,7 +352,8 @@ def _compute(
         )
     if exec_overrides and not partitioned:
         driver.overrides.update(exec_overrides)
-    with _engine_queue_env(overlay.engine_queue if overlay else None):
+    engine_queue = overlay.engine_queue if overlay else None
+    with pinned_env(ENGINE_QUEUE_ENV, engine_queue):
         if partitioned:
             from repro.runtime.partitioned import run_partitioned
             from repro.sim.partition import WindowStats

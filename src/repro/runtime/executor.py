@@ -40,7 +40,6 @@ from repro.gpu.memory import MemoryModel
 from repro.gpu.worker import CTA, WorkerConfig
 from repro.interconnect.transfer import NetworkFabric
 from repro.metrics.counters import Counters
-from repro.pgas.symmetric_heap import SymmetricHeap
 from repro.sim.monitor import IntervalAccumulator
 from repro.runtime.aggregator import Aggregator, MergedBatch
 from repro.runtime.distributed_queue import DistributedQueues
@@ -225,7 +224,6 @@ class AtosExecutor:
         self.config = config
         self.env = Environment()
         self.fabric = NetworkFabric(self.env, machine)
-        self.heap = SymmetricHeap(machine.n_gpus)
         self.tracker = self._make_tracker()
         self.memory = MemoryModel(machine.gpu, machine.cost)
         self.kernel = KernelModel(config.kernel, machine.cost)
@@ -654,10 +652,18 @@ class AtosExecutor:
         return makespan, self.counters
 
     def run(self) -> tuple[float, Counters]:
-        """Execute to quiescence; returns (makespan in us, counters)."""
+        """Execute to quiescence; returns (makespan in us, counters).
+
+        The drained queues' ring buffers are released on return.  The
+        executor's processes and callbacks all point back at it, so
+        only a full cyclic-GC pass would free them otherwise, and runs
+        made one after another in a process would stack them up.
+        """
         self.prepare()
         self.env.run(self.tracker.done)
-        return self.finish()
+        makespan, counters = self.finish()
+        self.queues = None
+        return makespan, counters
 
     def _pop(self, pe: int) -> np.ndarray:
         """Pop one round's tasks, per the kernel strategy.

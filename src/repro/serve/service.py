@@ -49,7 +49,6 @@ from __future__ import annotations
 import asyncio
 import functools
 import json
-import os
 import signal
 import threading
 import time
@@ -98,9 +97,7 @@ def execute_serve_cell(
     from repro.telemetry.spans import TELEMETRY_ENV
 
     machine = runner.get_machine(spec.machine, spec.n_gpus)
-    saved = os.environ.get(TELEMETRY_ENV)
-    os.environ[TELEMETRY_ENV] = "1"
-    try:
+    with runner.pinned_env(TELEMETRY_ENV, "1"):
         result = runner._compute(
             spec.framework,
             spec.app,
@@ -110,11 +107,6 @@ def execute_serve_cell(
             machine,
             seed=spec.seed,
         )
-    finally:
-        if saved is None:
-            os.environ.pop(TELEMETRY_ENV, None)
-        else:
-            os.environ[TELEMETRY_ENV] = saved
     trace_doc = None
     if result.telemetry is not None:
         trace_doc = to_trace_events(result.telemetry, result.time_ms * 1000.0)

@@ -5,9 +5,8 @@ Public surface:
 * :class:`~repro.sim.core.Environment` — event loop and simulated clock.
 * :class:`~repro.sim.core.Process` / :class:`~repro.sim.core.Timeout` —
   generator-based processes.
-* :class:`~repro.sim.resources.Resource` / ``Store`` / ``PriorityStore``
-  / ``Container`` — shared-resource primitives.
-* :class:`~repro.sim.monitor.Trace` — instrumentation.
+* :class:`~repro.sim.monitor.IntervalAccumulator` — busy-interval
+  accounting for the overlap analysis.
 * :mod:`repro.sim.equeue` — pluggable event queues (``heap`` reference,
   ``calendar`` with cohort dispatch), selected via ``REPRO_ENGINE_QUEUE``.
 """
@@ -29,12 +28,7 @@ from repro.sim.equeue import (
     engine_queue_name,
     make_queue,
 )
-from repro.sim.monitor import (
-    IntervalAccumulator,
-    Trace,
-    TraceRecord,
-    UtilizationMeter,
-)
+from repro.sim.monitor import IntervalAccumulator
 from repro.sim.partition import (
     Export,
     PartitionHost,
@@ -45,7 +39,6 @@ from repro.sim.partition import (
     partition_ranks,
     safe_horizons,
 )
-from repro.sim.resources import Container, PriorityStore, Resource, Store
 
 __all__ = [
     "Environment",
@@ -61,14 +54,7 @@ __all__ = [
     "make_queue",
     "AllOf",
     "AnyOf",
-    "Resource",
-    "Store",
-    "PriorityStore",
-    "Container",
-    "Trace",
-    "TraceRecord",
     "IntervalAccumulator",
-    "UtilizationMeter",
     "partition_ranks",
     "lookahead_matrix",
     "safe_horizons",

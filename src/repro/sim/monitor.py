@@ -1,129 +1,14 @@
-"""Instrumentation for simulations: traces, time series, utilization.
+"""Busy-interval accounting for simulations.
 
-The runtime and framework models publish events ("message sent", "worker
-busy", ...) to a :class:`Trace`; the harness digests those into the
-per-experiment statistics the paper reports (e.g. smoothness of network
-usage, communication/computation overlap).
+The executor records when any GPU is processing a round ("compute") and
+when any link is serializing ("comm") into an
+:class:`IntervalAccumulator`; the overlap analysis reads it to report
+how much communication the run hid under computation.
 """
 
 from __future__ import annotations
 
-import warnings
-from bisect import bisect_right
-from collections import deque
-from dataclasses import dataclass
-from typing import Any, Iterable, Optional
-
-import numpy as np
-
-from repro.sim.core import Environment
-
-__all__ = ["TraceRecord", "Trace", "IntervalAccumulator", "UtilizationMeter"]
-
-
-@dataclass(frozen=True, slots=True)
-class TraceRecord:
-    """One trace entry: what happened, when, and any payload."""
-
-    time: float
-    kind: str
-    source: str
-    payload: Any = None
-
-
-class Trace:
-    """Append-only event trace with simple querying.
-
-    Tracing can be disabled (``enabled=False``) to make production runs
-    allocation-free; all ``record`` calls become no-ops.
-
-    ``max_records`` bounds memory for long chaos/soak runs: when set,
-    the trace becomes a ring buffer keeping only the most recent
-    ``max_records`` entries (oldest evicted first).  ``total_recorded``
-    still counts every record ever made, so ``evicted`` reports exactly
-    how much history was discarded.  The first eviction raises a loud
-    (once-per-trace) :class:`RuntimeWarning` — a truncated trace must
-    never silently read as a complete one.  The default (``None``)
-    keeps the historical unbounded behavior.
-    """
-
-    def __init__(
-        self,
-        env: Environment,
-        enabled: bool = True,
-        max_records: Optional[int] = None,
-    ):
-        if max_records is not None and max_records <= 0:
-            raise ValueError("max_records must be positive (or None)")
-        self.env = env
-        self.enabled = enabled
-        self.max_records = max_records
-        self.total_recorded = 0
-        self._warned_eviction = False
-        if max_records is None:
-            self.records: Any = []
-        else:
-            self.records = deque(maxlen=max_records)
-
-    @property
-    def evicted(self) -> int:
-        """How many records the ring buffer has discarded."""
-        return self.total_recorded - len(self.records)
-
-    def record(self, kind: str, source: str, payload: Any = None) -> None:
-        if not self.enabled:
-            return
-        self.total_recorded += 1
-        if (
-            self.max_records is not None
-            and not self._warned_eviction
-            and self.total_recorded > self.max_records
-        ):
-            self._warned_eviction = True
-            warnings.warn(
-                f"Trace ring buffer full (max_records={self.max_records}): "
-                "oldest records are being evicted — analyses over this "
-                "trace see truncated history (raise max_records to keep "
-                "it all)",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-        self.records.append(
-            TraceRecord(self.env.now, kind, source, payload)
-        )
-
-    def of_kind(self, kind: str) -> list[TraceRecord]:
-        return [r for r in self.records if r.kind == kind]
-
-    def times(self, kind: str) -> np.ndarray:
-        return np.array(
-            [r.time for r in self.records if r.kind == kind], dtype=np.float64
-        )
-
-    def histogram(
-        self, kind: str, n_bins: int, t_end: Optional[float] = None
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Bin occurrences of ``kind`` over [0, t_end] into ``n_bins``.
-
-        Returns (bin_edges, counts).  Used to measure how *smooth*
-        communication is over the run (paper Section IV: spread-out
-        communication vs. bursts at phase boundaries).
-        """
-        times = self.times(kind)
-        end = t_end if t_end is not None else self.env.now
-        if end <= 0:
-            end = 1.0
-        edges = np.linspace(0.0, end, n_bins + 1)
-        counts, _ = np.histogram(times, bins=edges)
-        return edges, counts
-
-    def burstiness(self, kind: str, n_bins: int = 50) -> float:
-        """Coefficient of variation of per-bin counts (0 = perfectly smooth)."""
-        _, counts = self.histogram(kind, n_bins)
-        mean = counts.mean()
-        if mean == 0:
-            return 0.0
-        return float(counts.std() / mean)
+__all__ = ["IntervalAccumulator"]
 
 
 class IntervalAccumulator:
@@ -172,53 +57,3 @@ class IntervalAccumulator:
             else:
                 j += 1
         return out
-
-
-class UtilizationMeter:
-    """Tracks a step function (e.g. busy worker count) over time."""
-
-    def __init__(self, env: Environment, initial: float = 0.0):
-        self.env = env
-        self._times: list[float] = [env.now]
-        self._values: list[float] = [initial]
-
-    @property
-    def value(self) -> float:
-        return self._values[-1]
-
-    def set(self, value: float) -> None:
-        now = self.env.now
-        if now == self._times[-1]:
-            self._values[-1] = value
-        else:
-            self._times.append(now)
-            self._values.append(value)
-
-    def add(self, delta: float) -> None:
-        self.set(self._values[-1] + delta)
-
-    def value_at(self, t: float) -> float:
-        idx = bisect_right(self._times, t) - 1
-        if idx < 0:
-            return self._values[0]
-        return self._values[idx]
-
-    def time_average(self, t_end: Optional[float] = None) -> float:
-        """Time-weighted mean of the step function over [t0, t_end]."""
-        end = t_end if t_end is not None else self.env.now
-        times = self._times + [end]
-        total = 0.0
-        for i, v in enumerate(self._values):
-            span = max(0.0, min(times[i + 1], end) - min(times[i], end))
-            total += v * span
-        duration = end - self._times[0]
-        return total / duration if duration > 0 else self._values[0]
-
-
-def merge_traces(traces: Iterable[Trace]) -> list[TraceRecord]:
-    """Merge multiple traces into one time-ordered record list."""
-    records: list[TraceRecord] = []
-    for trace in traces:
-        records.extend(trace.records)
-    records.sort(key=lambda r: r.time)
-    return records

@@ -121,9 +121,8 @@ class DepEdge:
 class SpanLog:
     """Bounded, append-only span storage for one rank.
 
-    Mirrors the :class:`repro.sim.monitor.Trace` ring-buffer contract
-    from PR 3: ``max_spans`` keeps long soak runs bounded (oldest spans
-    evicted first), ``total_recorded`` counts every span ever made, so
+    A ring buffer: ``max_spans`` keeps long soak runs bounded (oldest
+    spans evicted first), ``total_recorded`` counts every span ever made, so
     ``evicted`` says exactly how much history was discarded — truncated
     timelines are detectable, never silently "complete".
     """

@@ -1,5 +1,8 @@
 """Integration tests for the Atos executor with a toy application."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -71,6 +74,19 @@ def test_multi_pe_relay_visits_all_pes():
     pes = [pe for pe, _ in app.processed]
     assert pes == [0, 1, 2, 3, 0, 1, 2, 3]
     assert counters["tasks_processed"] == 8
+
+
+def test_finished_run_releases_queue_storage():
+    # A finished executor is kept alive by its own reference cycles
+    # until a full GC pass; its queues' ring buffers must not be.
+    executor = AtosExecutor(daisy(4), TokenRelay(hops=7))
+    queues = weakref.ref(executor.queues)
+    gc.disable()
+    try:
+        executor.run()
+        assert queues() is None
+    finally:
+        gc.enable()
 
 
 def test_remote_hops_take_link_time():

@@ -1,110 +1,10 @@
-"""Tests for the instrumentation layer (Trace, intervals, meters)."""
+"""Tests for the busy-interval accounting (IntervalAccumulator)."""
 
-import numpy as np
 import pytest
 
-from repro.sim import (
-    Environment,
-    IntervalAccumulator,
-    Trace,
-    UtilizationMeter,
-)
-from repro.sim.monitor import merge_traces
+from repro.sim import IntervalAccumulator
 
 
-# ------------------------------------------------------------------ Trace
-def test_trace_records_time_and_payload():
-    env = Environment()
-    trace = Trace(env)
-
-    def proc(env):
-        trace.record("send", "gpu0", payload=64)
-        yield env.timeout(3.0)
-        trace.record("send", "gpu0", payload=128)
-        trace.record("recv", "gpu1")
-
-    env.process(proc(env))
-    env.run()
-    sends = trace.of_kind("send")
-    assert [r.time for r in sends] == [0.0, 3.0]
-    assert sends[1].payload == 128
-    assert len(trace.of_kind("recv")) == 1
-
-
-def test_trace_disabled_is_noop():
-    env = Environment()
-    trace = Trace(env, enabled=False)
-    trace.record("x", "y")
-    assert trace.records == []
-
-
-def test_trace_times_array():
-    env = Environment()
-    trace = Trace(env)
-    trace.record("a", "s")
-    times = trace.times("a")
-    assert isinstance(times, np.ndarray)
-    assert list(times) == [0.0]
-    assert len(trace.times("missing")) == 0
-
-
-def test_trace_histogram_and_burstiness():
-    env = Environment()
-    trace = Trace(env)
-
-    def proc(env):
-        # Perfectly regular events -> low burstiness.
-        for _ in range(20):
-            trace.record("tick", "s")
-            yield env.timeout(1.0)
-
-    env.process(proc(env))
-    env.run()
-    edges, counts = trace.histogram("tick", n_bins=5)
-    assert len(edges) == 6 and counts.sum() == 20
-    assert trace.burstiness("tick", n_bins=5) < 0.3
-
-
-def test_burstiness_of_burst():
-    env = Environment()
-    trace = Trace(env)
-
-    def proc(env):
-        yield env.timeout(90.0)
-        for _ in range(30):
-            trace.record("burst", "s")
-        yield env.timeout(10.0)
-
-    env.process(proc(env))
-    env.run()
-    # All events in one bin out of ten: highly bursty.
-    assert trace.burstiness("burst", n_bins=10) > 1.5
-
-
-def test_burstiness_empty_is_zero():
-    env = Environment()
-    trace = Trace(env)
-    assert trace.burstiness("nothing") == 0.0
-
-
-def test_merge_traces_ordered():
-    env = Environment()
-    a, b = Trace(env), Trace(env)
-
-    def proc(env):
-        a.record("x", "a")
-        yield env.timeout(1.0)
-        b.record("x", "b")
-        yield env.timeout(1.0)
-        a.record("x", "a")
-
-    env.process(proc(env))
-    env.run()
-    merged = merge_traces([a, b])
-    assert [r.source for r in merged] == ["a", "b", "a"]
-
-
-# --------------------------------------------------- IntervalAccumulator
 def test_interval_total_and_validation():
     acc = IntervalAccumulator()
     acc.add("compute", 0.0, 5.0)
@@ -139,123 +39,3 @@ def test_interval_overlap_disjoint():
     acc.add("a", 0.0, 1.0)
     acc.add("b", 2.0, 3.0)
     assert acc.overlap("a", "b") == 0.0
-
-
-# ------------------------------------------------------ UtilizationMeter
-def test_meter_tracks_step_function():
-    env = Environment()
-    meter = UtilizationMeter(env)
-
-    def proc(env):
-        meter.set(4)
-        yield env.timeout(10.0)
-        meter.add(-2)
-        yield env.timeout(10.0)
-        meter.set(0)
-
-    env.process(proc(env))
-    env.run()
-    assert meter.value == 0
-    assert meter.value_at(5.0) == 4
-    assert meter.value_at(15.0) == 2
-    # Time-average over [0, 20]: (4*10 + 2*10) / 20 = 3.
-    assert meter.time_average(20.0) == pytest.approx(3.0)
-
-
-def test_meter_same_time_update_overwrites():
-    env = Environment()
-    meter = UtilizationMeter(env, initial=1.0)
-    meter.set(5.0)
-    meter.set(7.0)
-    assert meter.value == 7.0
-    assert meter.value_at(0.0) == 7.0
-
-
-def test_meter_value_before_start():
-    env = Environment(initial_time=10.0)
-    meter = UtilizationMeter(env, initial=3.0)
-    assert meter.value_at(0.0) == 3.0
-
-
-def test_trace_ring_buffer_keeps_most_recent():
-    env = Environment()
-    trace = Trace(env, max_records=3)
-    for i in range(7):
-        trace.record("tick", "src", payload=i)
-    assert len(trace.records) == 3
-    assert [r.payload for r in trace.records] == [4, 5, 6]
-    assert trace.total_recorded == 7
-    assert trace.evicted == 4
-
-
-def test_trace_ring_buffer_queries_still_work():
-    env = Environment()
-    trace = Trace(env, max_records=4)
-
-    def proc(env):
-        for i in range(6):
-            trace.record("send", "gpu0", payload=i)
-            yield env.timeout(1.0)
-
-    env.process(proc(env))
-    env.run()
-    # Only the last 4 survive; queries see exactly those.
-    assert [r.time for r in trace.of_kind("send")] == [2.0, 3.0, 4.0, 5.0]
-    assert list(trace.times("send")) == [2.0, 3.0, 4.0, 5.0]
-    _, counts = trace.histogram("send", n_bins=2)
-    assert counts.sum() == 4
-
-
-def test_trace_unbounded_default_never_evicts():
-    env = Environment()
-    trace = Trace(env)
-    for i in range(100):
-        trace.record("x", "y")
-    assert trace.max_records is None
-    assert isinstance(trace.records, list)
-    assert trace.evicted == 0 and trace.total_recorded == 100
-
-
-def test_trace_rejects_nonpositive_bound():
-    env = Environment()
-    with pytest.raises(ValueError):
-        Trace(env, max_records=0)
-    with pytest.raises(ValueError):
-        Trace(env, max_records=-5)
-
-
-def test_merge_traces_accepts_ring_buffers():
-    env = Environment()
-    bounded = Trace(env, max_records=2)
-    unbounded = Trace(env)
-    bounded.record("a", "s")
-    bounded.record("a", "s")
-    bounded.record("a", "s")  # evicts the first
-    unbounded.record("b", "s")
-    merged = merge_traces([bounded, unbounded])
-    assert len(merged) == 3
-
-
-def test_trace_eviction_warns_loudly_once():
-    import warnings
-
-    env = Environment()
-    trace = Trace(env, max_records=2)
-    trace.record("a", "s")
-    trace.record("a", "s")
-    with pytest.warns(RuntimeWarning, match="ring buffer full"):
-        trace.record("a", "s")  # first eviction
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        trace.record("a", "s")  # further evictions stay quiet
-
-
-def test_trace_within_bound_never_warns():
-    import warnings
-
-    env = Environment()
-    trace = Trace(env, max_records=5)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        for _ in range(5):
-            trace.record("a", "s")

@@ -151,6 +151,49 @@ def test_run_partitions_flags_parse():
     assert args.pdes_driver == "local"
 
 
+def test_run_partitions_verify_digest(capsys, tmp_path, monkeypatch):
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+    from repro.harness import clear_memory_cache
+
+    clear_memory_cache()
+    argv = ["run", "--framework", "atos-standard-persistent", "--app",
+            "bfs", "--dataset", "hollywood-2009", "--gpus", "4",
+            "--partitions", "2", "--pdes-driver", "local",
+            "--verify-digest"]
+    assert main(argv) == 0
+    first = capsys.readouterr().out
+    assert first.startswith("partitioned (local, 2 partitions): ")
+    assert "digest matches serial" in first
+    # The partitioned cell goes through the run cache: with an empty
+    # memo both cells are served from disk, window line included.
+    from repro.harness import runner
+    from repro.runtime import partitioned
+
+    def no_compute(*args, **kwargs):
+        raise AssertionError("cell was recomputed, not served from cache")
+
+    clear_memory_cache()
+    monkeypatch.setattr(runner, "_compute", no_compute)
+    monkeypatch.setattr(partitioned, "run_partitioned", no_compute)
+    assert main(argv) == 0
+    assert capsys.readouterr().out == first
+    clear_memory_cache()
+
+
+def test_run_partitions_rejects_baseline_framework(capsys, tmp_path,
+                                                   monkeypatch):
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+    code = main(["run", "--framework", "gunrock", "--app", "bfs",
+                 "--dataset", "hollywood-2009", "--gpus", "2",
+                 "--partitions", "2"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("repro run: error: ")
+    assert "atos framework" in captured.err
+    assert captured.err.count("\n") == 1
+
+
 def test_report_quick(capsys):
     assert main(["report", "--quick"]) == 0
     out = capsys.readouterr().out
