@@ -372,6 +372,7 @@ def _compute(
                 kernel=driver.kernel,
                 priority=driver.priority,
                 variant_name=driver.name,
+                base_config=driver.base_config,
                 config_overrides=exec_overrides or None,
                 stats=stats,
             )

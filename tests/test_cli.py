@@ -180,6 +180,23 @@ def test_run_partitions_verify_digest(capsys, tmp_path, monkeypatch):
     clear_memory_cache()
 
 
+def test_run_partitions_keeps_driver_base_config(capsys, tmp_path,
+                                                monkeypatch):
+    # groute is an atos variant with its own base config (CPU control
+    # path, segment rounds, no aggregator); the partitioned cell must
+    # simulate that config, not the default one.
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+    from repro.harness import clear_memory_cache
+
+    clear_memory_cache()
+    assert main(["run", "--framework", "groute", "--app", "bfs",
+                 "--dataset", "hollywood-2009", "--gpus", "2",
+                 "--partitions", "2", "--pdes-driver", "local",
+                 "--verify-digest"]) == 0
+    assert "digest matches serial" in capsys.readouterr().out
+    clear_memory_cache()
+
+
 def test_run_partitions_rejects_baseline_framework(capsys, tmp_path,
                                                    monkeypatch):
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
