@@ -33,7 +33,7 @@ class CSRGraph:
         (rows are local vertices, columns are global ids).
     """
 
-    __slots__ = ("indptr", "indices", "n_global")
+    __slots__ = ("indptr", "indices", "n_global", "_symmetric")
 
     def __init__(
         self,
@@ -54,6 +54,9 @@ class CSRGraph:
         self.indptr = indptr
         self.indices = indices
         self.n_global = int(n_global) if n_global is not None else self.n_vertices
+        #: Set on a graph :meth:`symmetrized` built, which is its own
+        #: symmetrization.
+        self._symmetric = False
         if len(indices) and (
             indices.min() < 0 or indices.max() >= self.n_global
         ):
@@ -138,15 +141,17 @@ class CSRGraph:
         if drop_self_loops:
             keep = src != dst
             src, dst = src[keep], dst[keep]
-        if dedup and len(src):
-            keys = src * n_vertices + dst
-            _, unique_idx = np.unique(keys, return_index=True)
-            src, dst = src[unique_idx], dst[unique_idx]
-        order = np.lexsort((dst, src))
-        src, dst = src[order], dst[order]
+        # Sorting the keys ``src*n+dst`` puts the edges in (src, dst)
+        # order, and equal neighbours are duplicates.  One flat sort is
+        # many times faster than ``np.lexsort`` or ``np.unique``.
+        keys = np.sort(src * n_vertices + dst)
+        if dedup:
+            fresh = np.ones(len(keys), dtype=bool)
+            np.not_equal(keys[1:], keys[:-1], out=fresh[1:])
+            keys = keys[fresh]
+        src, dst = np.divmod(keys, n_vertices)
         indptr = np.zeros(n_vertices + 1, dtype=np.int64)
-        np.add.at(indptr, src + 1, 1)
-        np.cumsum(indptr, out=indptr)
+        np.cumsum(np.bincount(src, minlength=n_vertices), out=indptr[1:])
         return cls(indptr, dst.astype(np.int32), n_global=n_vertices)
 
     def to_edges(self) -> tuple[np.ndarray, np.ndarray]:
@@ -163,14 +168,22 @@ class CSRGraph:
         )
 
     def symmetrized(self) -> "CSRGraph":
-        """Union of the graph and its transpose (undirected view)."""
+        """Union of the graph and its transpose (undirected view).
+
+        A graph this method built is returned as is: symmetrizing it
+        again would rebuild the same arrays.
+        """
+        if self._symmetric:
+            return self
         src, dst = self.to_edges()
-        return CSRGraph.from_edges(
+        graph = CSRGraph.from_edges(
             np.concatenate([src, dst]),
             np.concatenate([dst, src]),
             self.n_global,
             dedup=True,
         )
+        graph._symmetric = True
+        return graph
 
     # -------------------------------------------------------- partitions
     def row_subgraph(self, rows: np.ndarray) -> "CSRGraph":

@@ -47,15 +47,19 @@ def rmat(
     m = edge_factor * n
     d = 1.0 - a - b - c
     # Vectorized RMAT: each of the `scale` bit levels picks a quadrant
-    # independently for every edge.
+    # independently for every edge.  One level is drawn at a time, the
+    # way ``rng.choice(4, size=(scale, m), p=...)`` inverts its uniform
+    # draws, so the stream (and the graph) is the same without holding
+    # every level at once.
     src = np.zeros(m, dtype=np.int64)
     dst = np.zeros(m, dtype=np.int64)
-    quadrants = rng.choice(4, size=(scale, m), p=[a, b, c, d])
+    cdf = np.cumsum([a, b, c, d])
+    cdf /= cdf[-1]
     for level in range(scale):
         bit = 1 << (scale - 1 - level)
-        q = quadrants[level]
-        src += bit * ((q == 2) | (q == 3))
-        dst += bit * ((q == 1) | (q == 3))
+        q = cdf.searchsorted(rng.random(m), side="right")
+        src += bit * (q >= 2)
+        dst += bit * (q & 1)
     graph = CSRGraph.from_edges(src, dst, n)
     if symmetrize:
         graph = graph.symmetrized()

@@ -191,6 +191,10 @@ class RunCache:
     def _path(self, key: str) -> Path:
         return self.directory / f"{key}{_SUFFIX}"
 
+    def __contains__(self, key: str) -> bool:
+        """Whether an entry for ``key`` is on disk (not checksummed)."""
+        return self._path(key).is_file()
+
     # -- IO -------------------------------------------------------------
     @staticmethod
     def _decode(blob: bytes) -> Any:

@@ -3,9 +3,14 @@
 The evaluation grid is embarrassingly parallel — every (framework, app,
 dataset, machine, #GPUs) cell is an independent deterministic
 simulation — so :class:`WorkerPool` simply runs each cell in its own
-forked process.  Echoing the paper's scheduling philosophy,
-consistency is decoupled from synchronization: workers share nothing
-but the persistent run cache (whose atomic writes make concurrent
+forked process.  Taking the host off the cells' critical path, the
+pool builds each cell's inputs (dataset, BFS source, partition, serial
+reference) once, in the parent, just before the fork
+(:func:`repro.harness.runner.prepare_inputs`); every worker shares
+them copy-on-write instead of rebuilding them.  Echoing the paper's
+scheduling philosophy, consistency is decoupled from synchronization:
+the inputs are immutable, results travel only through each worker's
+pipe and the persistent run cache (whose atomic writes make concurrent
 stores benign), and :func:`run_grid` reassembles results in *spec
 order* regardless of completion order, so pooled output is
 bit-identical to a serial run.  ``repro serve`` drives the same pool
@@ -198,6 +203,23 @@ def execute_spec(spec: RunSpec) -> Any:
     )
 
 
+def _prepare_inputs(spec: Any) -> None:
+    """Build a :class:`RunSpec` cell's inputs in this (the forking) process.
+
+    Best effort: a cell whose inputs cannot be built (an unknown
+    dataset, say) is forked anyway, and its worker reports the same
+    error as the cell's ``error``.
+    """
+    if not isinstance(spec, RunSpec):
+        return
+    from repro.harness import runner
+
+    try:
+        runner.prepare_inputs(spec)
+    except Exception:
+        pass
+
+
 def _worker_main(conn, spec: RunSpec, run_fn: Callable[[RunSpec], Any]) -> None:
     """Worker entry point: run one cell, ship (status, payload, wall)."""
     # Forked while the parent deferred interrupts: the inherited latch
@@ -339,6 +361,12 @@ class WorkerPool:
     exits.  The caller bounds concurrency by keeping :attr:`busy`
     under its limit.
 
+    Before it forks a :class:`RunSpec` cell, ``poll`` builds the cell's
+    inputs into this process's caches, so the worker inherits them and
+    shares them copy-on-write; a cell the run cache already holds
+    builds nothing.  The parent keeps what it built, one dataset per
+    name and one partition per (dataset, #GPUs, seed).
+
     Ownership: ``submit`` and ``stop`` may be called from any thread,
     ``poll`` from one thread only — the polling thread, which alone
     forks workers, reads, kills and closes them, and resolves futures.
@@ -423,17 +451,16 @@ class WorkerPool:
     def poll(self, timeout: Optional[float] = None) -> bool:
         """Fork queued cells, wait up to ``timeout`` s, resolve what finished.
 
-        Returns False once a :meth:`stop` has completed.  The wait is
-        the designated interruption point: on the main thread the
-        bookkeeping around it holds SIGINT/SIGTERM, so when an
-        interrupt propagates every cell is queued, live or resolved —
-        never forked but untracked.
+        Returns False once a :meth:`stop` has completed.  The wait and
+        the input builds before each fork are the interruption points:
+        on the main thread the bookkeeping around them holds
+        SIGINT/SIGTERM, so when an interrupt propagates every cell is
+        queued, live or resolved — never forked but untracked.
         """
         if self._closed:
             return False
         timeout = _REAP_POLL_S if timeout is None else timeout
-        with _deferred_interrupts():
-            self._launch_queued()
+        self._launch_queued()
         if self._stop_at is not None:
             timeout = min(timeout, max(0.0, self._stop_at - time.monotonic()))
         ready = _wait_connections([*self._live, self._wake_r], timeout=timeout)
@@ -445,21 +472,30 @@ class WorkerPool:
             with self._lock:
                 if not self._queued:
                     return
-                job = self._queued.popleft()
-            job.started = time.monotonic()
-            try:
-                job.conn = self._fork(job)
-            except OSError:
-                # Out of processes, memory or descriptors (EAGAIN,
-                # ENOMEM, EMFILE): this cell fails, the pool goes on.
-                self._resolve(
-                    job,
-                    CellResult(
-                        job.spec, "error", error=traceback.format_exc()
-                    ),
-                )
-            else:
-                self._live[job.conn] = job
+                spec = self._queued[0].spec
+            # Outside the deferred section, so an interrupt during a
+            # build leaves the cell queued and the drain cancels it.
+            _prepare_inputs(spec)
+            with _deferred_interrupts():
+                with self._lock:
+                    if not self._queued:  # a stop() cancelled it
+                        return
+                    job = self._queued.popleft()
+                self._launch(job)
+
+    def _launch(self, job: _Job) -> None:
+        job.started = time.monotonic()
+        try:
+            job.conn = self._fork(job)
+        except OSError:
+            # Out of processes, memory or descriptors (EAGAIN,
+            # ENOMEM, EMFILE): this cell fails, the pool goes on.
+            self._resolve(
+                job,
+                CellResult(job.spec, "error", error=traceback.format_exc()),
+            )
+        else:
+            self._live[job.conn] = job
 
     def _fork(self, job: _Job):
         """Start ``job``'s worker; returns the parent end of its pipe."""

@@ -63,6 +63,7 @@ __all__ = [
     "get_driver",
     "get_partition",
     "get_machine",
+    "prepare_inputs",
     "run",
     "run_key",
     "seed_memo",
@@ -200,13 +201,8 @@ def run_key(
     )
 
 
-def seed_memo(spec: "RunSpec", result: RunResult) -> RunResult:
-    """Admit a pool worker's result to the in-process memo.
-
-    ``setdefault`` keeps the memo identity-stable: if this process
-    already holds an object for the key, that object wins.
-    """
-    key = run_key(
+def _spec_key(spec: "RunSpec") -> str:
+    return run_key(
         spec.framework,
         spec.app,
         spec.dataset,
@@ -214,9 +210,41 @@ def seed_memo(spec: "RunSpec", result: RunResult) -> RunResult:
         spec.n_gpus,
         spec.validate,
         seed=spec.seed,
-        overlay=getattr(spec, "overlay", None),
+        overlay=spec.overlay,
     )
-    return _memo.setdefault(key, result)
+
+
+def seed_memo(spec: "RunSpec", result: RunResult) -> RunResult:
+    """Admit a pool worker's result to the in-process memo.
+
+    ``setdefault`` keeps the memo identity-stable: if this process
+    already holds an object for the key, that object wins.
+    """
+    return _memo.setdefault(_spec_key(spec), result)
+
+
+def prepare_inputs(spec: "RunSpec") -> None:
+    """Build ``spec``'s inputs into this process's caches.
+
+    Fills the ``lru_cache``\\ d dataset, BFS source, partition and (with
+    ``validate``) serial reference that :func:`run` would build for the
+    cell.  The pool calls this in the parent just before it forks the
+    cell's worker, so the worker finds every input already built and
+    shares it copy-on-write: each input is built once per process that
+    forks, not once per cell.  A cell the in-process memo or the
+    persistent cache already holds needs no inputs and builds nothing.
+    """
+    key = _spec_key(spec)
+    if key in _memo or (cache_enabled() and key in get_cache()):
+        return
+    load(spec.dataset)
+    get_partition(spec.dataset, spec.n_gpus, spec.seed)
+    if spec.app == "bfs":
+        bfs_source(spec.dataset)
+        if spec.validate:
+            _reference_depth(spec.dataset)
+    elif spec.app == "pagerank" and spec.validate:
+        _reference_rank(spec.dataset)
 
 
 def clear_memory_cache() -> None:
