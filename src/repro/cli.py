@@ -12,9 +12,6 @@ subcommands::
     python -m repro cache stats                 # persistent run cache
     python -m repro chaos --verify-inert        # drop/crash/kill fault grid
     python -m repro profile --export trace.json # span tracing / crit path
-    python -m repro serve --workers 4           # simulation-as-a-service
-    python -m repro submit --framework ... --app bfs --dataset road-usa
-    python -m repro watch j00001                # stream job events
     python -m repro serve-validate              # queueing self-validation
 
 Every experiment subcommand prints the paper-style table to stdout.
@@ -232,14 +229,6 @@ def _cmd_report(args: argparse.Namespace) -> int:
         table4_pagerank_nvlink,
     )
 
-    if args.service:
-        # A drained service's counters/histograms instead of the grid
-        # shape report.
-        from repro.serve.stats import ServiceStats
-
-        print(ServiceStats.read(args.service).render())
-        return 0
-
     if args.utilization:
         # Per-rank compute/comm/idle split of one traced cell instead
         # of the grid shape report (grids would re-simulate everything).
@@ -426,100 +415,9 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_serve(args: argparse.Namespace) -> int:
-    import asyncio
-
-    from repro.serve.service import ReproService, ServeConfig
-
-    config = ServeConfig(
-        host=args.host,
-        port=args.port,
-        workers=args.workers,
-        max_queue=args.max_queue,
-        max_inflight_per_request=args.max_inflight,
-        cell_timeout_s=args.timeout,
-        drain_grace_s=args.drain_grace,
-        stats_path=args.stats_out,
-    )
-    asyncio.run(ReproService(config).serve_forever())
-    return 0
-
-
-def _client(args: argparse.Namespace):
-    from repro.serve.client import ServeClient
-
-    return ServeClient(args.host, args.port)
-
-
-def _cmd_submit(args: argparse.Namespace) -> int:
-    import json
-
-    from repro.serve.client import ServeError
-
-    spec: dict = {
-        "framework": args.framework,
-        "app": args.app,
-        "machine": args.machine,
-        "validate": not args.no_validate,
-        "seed": args.seed,
-    }
-    datasets = [d for d in args.dataset.split(",") if d]
-    gpus = [int(n) for n in args.gpus.split(",") if n]
-    spec["dataset"] = datasets if len(datasets) > 1 else datasets[0]
-    spec["n_gpus"] = gpus if len(gpus) > 1 else gpus[0]
-    body = {"spec": spec, "priority": args.priority, "trace": args.trace}
-    client = _client(args)
-    try:
-        accepted = client.submit(body)
-    except ServeError as exc:
-        print(f"rejected: {exc}", file=sys.stderr)
-        if exc.retry_after_s is not None:
-            print(f"retry after {exc.retry_after_s}s", file=sys.stderr)
-        return 1
-    print(
-        f"accepted {accepted['job_id']}: {accepted['cells']} cell(s), "
-        f"priority {accepted['priority']}"
-    )
-    if args.wait:
-        final = client.wait(accepted["job_id"])
-        print(json.dumps(final, indent=1))
-        return 0 if final["state"] == "done" else 1
-    return 0
-
-
-def _cmd_status(args: argparse.Namespace) -> int:
-    import json
-
-    if args.job_id:
-        print(json.dumps(_client(args).status(args.job_id), indent=1))
-    else:
-        print(json.dumps(_client(args).stats(), indent=1))
-    return 0
-
-
-def _cmd_watch(args: argparse.Namespace) -> int:
-    import json
-
-    state = "done"
-    for event in _client(args).watch(args.job_id):
-        print(json.dumps(event))
-        if event.get("event") == "done":
-            state = event.get("state", "done")
-    return 0 if state == "done" else 1
-
-
 def _cmd_serve_validate(args: argparse.Namespace) -> int:
-    from repro.serve.study import (
-        render_study,
-        run_log_replay,
-        run_serve_study,
-        write_study,
-    )
+    from repro.serve.study import render_study, run_serve_study, write_study
 
-    if args.log:
-        text, ok = run_log_replay(args.log)
-        print(text)
-        return 0 if ok else 1
     doc = run_serve_study(seed=args.seed, quick=args.quick)
     print(render_study(doc))
     if args.out:
@@ -637,13 +535,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="print the per-rank compute/comm/idle split of a traced "
         "headline cell instead of the grid shape report",
-    )
-    report.add_argument(
-        "--service",
-        default=None,
-        metavar="STATS_JSON",
-        help="print a drained service's counters and per-priority "
-        "latency histograms from its stats file",
     )
     add_pool_flags(report)
     report.set_defaults(func=_cmd_report)
@@ -806,110 +697,15 @@ def build_parser() -> argparse.ArgumentParser:
     add_seed_flag(chaos)
     chaos.set_defaults(func=_cmd_chaos)
 
-    def add_endpoint_flags(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--host", default="127.0.0.1")
-        p.add_argument("--port", type=int, default=8787)
-
-    serve = sub.add_parser(
-        "serve",
-        help="simulation-as-a-service: HTTP front end over a "
-        "fork-per-cell worker pool",
-    )
-    add_endpoint_flags(serve)
-    serve.add_argument(
-        "--workers", type=int, default=2,
-        help="cells run at once, each in its own forked worker "
-        "process (default 2)",
-    )
-    serve.add_argument(
-        "--max-queue", type=int, default=64,
-        help="admission queue bound; overflow answers 429 (default 64)",
-    )
-    serve.add_argument(
-        "--max-inflight", type=int, default=4,
-        help="per-request in-flight cell window (default 4)",
-    )
-    serve.add_argument(
-        "--timeout", type=float, default=None, metavar="SECONDS",
-        help="per-cell deadline inside a worker",
-    )
-    serve.add_argument(
-        "--drain-grace", type=float, default=30.0, metavar="SECONDS",
-        help="graceful-shutdown grace for in-flight work (default 30)",
-    )
-    serve.add_argument(
-        "--stats-out", default=None, metavar="PATH",
-        help="write counters/histograms/arrival-log JSON on drain "
-        "(feeds `repro serve-validate --log`)",
-    )
-    serve.set_defaults(func=_cmd_serve)
-
-    submit = sub.add_parser(
-        "submit", help="submit a run/sweep to a running `repro serve`"
-    )
-    add_endpoint_flags(submit)
-    submit.add_argument(
-        "--framework", default="atos-standard-persistent",
-        help="driver framework (default atos-standard-persistent)",
-    )
-    submit.add_argument("--app", required=True, choices=["bfs", "pagerank"])
-    submit.add_argument(
-        "--dataset", required=True,
-        help="dataset, or comma-separated list for a sweep",
-    )
-    submit.add_argument("--machine", default="daisy")
-    submit.add_argument(
-        "--gpus", default="1",
-        help="GPU count, or comma-separated list for a sweep",
-    )
-    submit.add_argument(
-        "--priority",
-        default="batch",
-        choices=["interactive", "batch", "bulk"],
-        help="scheduling class (weighted 8/3/1)",
-    )
-    submit.add_argument(
-        "--trace", action="store_true",
-        help="trace the run; download via `GET /jobs/<id>/trace`",
-    )
-    submit.add_argument(
-        "--no-validate", action="store_true",
-        help="skip validation against the serial reference",
-    )
-    submit.add_argument(
-        "--wait", action="store_true",
-        help="stream until the job finishes and print its final status",
-    )
-    add_seed_flag(submit)
-    submit.set_defaults(func=_cmd_submit)
-
-    status = sub.add_parser(
-        "status", help="job status (or service stats with no job id)"
-    )
-    add_endpoint_flags(status)
-    status.add_argument("job_id", nargs="?", default="")
-    status.set_defaults(func=_cmd_status)
-
-    watch = sub.add_parser(
-        "watch", help="stream a job's NDJSON events until it finishes"
-    )
-    add_endpoint_flags(watch)
-    watch.add_argument("job_id")
-    watch.set_defaults(func=_cmd_watch)
-
     serve_validate = sub.add_parser(
         "serve-validate",
-        help="queueing self-validation: replay service workloads on the "
-        "DES engine (Little's law, M/M/1 blow-up, starvation bounds)",
+        help="queueing self-validation: replay a weighted-priority job "
+        "queue on the DES engine (Little's law, M/M/1 blow-up, "
+        "starvation bounds)",
     )
     serve_validate.add_argument(
         "--quick", action="store_true",
         help="3 utilization levels and shorter horizons",
-    )
-    serve_validate.add_argument(
-        "--log", default=None, metavar="STATS_JSON",
-        help="replay a drained service's recorded arrival log instead "
-        "of synthetic traffic",
     )
     serve_validate.add_argument(
         "--out", default=None, metavar="PATH",

@@ -71,20 +71,6 @@ class PartitionWorkerLost(SimulationError):
         self.exitcode = exitcode
 
 
-class WorkerCrashed(ReproError):
-    """A pool worker process died while running a cell.
-
-    :attr:`repro.harness.pool.CellResult.failure` of a cell that
-    resolved ``crashed`` (pipe EOF: segfault, OOM-kill, ``os._exit``),
-    threaded through the service's retry and quarantine policy, and
-    carrying which spec (``spec_key``) it was running.
-    """
-
-    def __init__(self, spec_key: str):
-        super().__init__(f"worker crashed running {spec_key}")
-        self.spec_key = spec_key
-
-
 class ProcessInterrupt(ReproError):
     """Raised inside a process generator when it is interrupted."""
 

@@ -13,8 +13,9 @@ the inputs are immutable, results travel only through each worker's
 pipe and the persistent run cache (whose atomic writes make concurrent
 stores benign), and :func:`run_grid` reassembles results in *spec
 order* regardless of completion order, so pooled output is
-bit-identical to a serial run.  ``repro serve`` drives the same pool
-from its reaper thread.
+bit-identical to a serial run.  The pool has no threads of its own:
+its caller submits, polls and stops it from one thread, so every
+worker is forked from a single-threaded process.
 
 Failure isolation is per cell: a worker that raises reports the
 traceback, a worker that exceeds its deadline is killed, and a worker
@@ -40,8 +41,6 @@ from collections import deque
 from dataclasses import dataclass
 from multiprocessing.connection import wait as _wait_connections
 from typing import Any, Callable, Iterable, Optional, Sequence
-
-from repro.errors import WorkerCrashed
 
 __all__ = [
     "JOBS_ENV",
@@ -109,10 +108,6 @@ class CellResult:
     result: Any = None
     error: str = ""
     wall_clock_s: float = 0.0
-    #: Set on a ``crashed`` cell: the typed signal retry and quarantine
-    #: key on, as opposed to an in-worker exception (``error``,
-    #: deterministic, never retried).
-    failure: Optional[WorkerCrashed] = None
 
     @property
     def ok(self) -> bool:
@@ -343,23 +338,27 @@ class _Job:
     run_fn: Callable[[RunSpec], Any]
     spec: RunSpec
     timeout_s: Optional[float]
-    future: Any
     process: Any = None
     conn: Any = None
     started: float = 0.0
+    #: The cell's :class:`CellResult` once it resolves.  ``None`` while
+    #: it is queued or running, and for good if it was cancelled: by a
+    #: :meth:`WorkerPool.stop` before it forked, or killed at the end
+    #: of the stop's grace.
+    result: Optional[CellResult] = None
 
 
 class WorkerPool:
     """Fork-per-cell worker supervisor, driven by its caller's poll loop.
 
-    :meth:`submit` queues a cell and returns a
-    :class:`concurrent.futures.Future` of its :class:`CellResult`;
-    :meth:`poll` forks queued cells, waits on their pipes and
-    deadlines, and resolves each as ``ok``, ``error``, ``timeout`` or
-    ``crashed``; :meth:`stop` drains the pool or kills it.  Each worker
-    runs one cell, sends one ``(status, payload, wall)`` message and
-    exits.  The caller bounds concurrency by keeping :attr:`busy`
-    under its limit.
+    :meth:`submit` queues a cell and returns its job, whose ``result``
+    slot receives the cell's :class:`CellResult`; :meth:`poll` forks
+    queued cells, waits on their pipes and deadlines, and resolves
+    each as ``ok``, ``error``, ``timeout`` or ``crashed``;
+    :meth:`stop` drains the pool or kills it.  Each worker runs one
+    cell, sends one ``(status, payload, wall)`` message and exits.
+    The caller bounds concurrency by keeping :attr:`busy` under its
+    limit.
 
     Before it forks a :class:`RunSpec` cell, ``poll`` builds the cell's
     inputs into this process's caches, so the worker inherits them and
@@ -367,34 +366,19 @@ class WorkerPool:
     builds nothing.  The parent keeps what it built, one dataset per
     name and one partition per (dataset, #GPUs, seed).
 
-    Ownership: ``submit`` and ``stop`` may be called from any thread,
-    ``poll`` from one thread only — the polling thread, which alone
-    forks workers, reads, kills and closes them, and resolves futures.
-    A future therefore resolves exactly once and each pipe has one
-    closer.  A fork refused by the OS (``EAGAIN``, ``ENOMEM``,
-    ``EMFILE``) fails only its cell, as ``error``.
-
-    :func:`run_grid` polls on its calling thread, so it forks from a
-    single-threaded process.  ``repro serve`` polls from a reaper
-    thread, so it forks from a multi-threaded one (Python 3.12 warns):
-    a child inherits every lock another thread held at the fork.  The
-    worker only restores signals, runs ``run_fn`` and sends on its own
-    pipe; the service's threads take none of its locks, except a
-    standard stream's buffer at start and drain, flushed by the
-    child's exit.  A fork inside that write hangs the child until its
-    deadline (``serve --timeout``) kills it.
+    Single-threaded by construction: ``submit``, ``poll`` and ``stop``
+    are called from one thread, which alone forks workers, reads,
+    kills and closes them, and resolves jobs, so a job resolves at
+    most once and each pipe has one closer.  :func:`run_grid` is that
+    caller, and forks from a process with no other threads.  A fork
+    refused by the OS (``EAGAIN``, ``ENOMEM``, ``EMFILE``) fails only
+    its cell, as ``error``.
     """
 
     def __init__(self):
         self._ctx = _mp_context()
-        self._lock = threading.Lock()
         self._queued: deque[_Job] = deque()
         self._live: dict[Any, _Job] = {}
-        #: Self-pipe: ``submit`` and ``stop`` write a byte so that a
-        #: poll blocked in its wait sees the change at once instead of
-        #: at the end of its timeout.
-        self._wake_r, self._wake_w = os.pipe()
-        os.set_blocking(self._wake_w, False)
         self._stop_at: Optional[float] = None
         self._closed = False
         #: Cells submitted and not yet resolved (queued or running).
@@ -407,46 +391,31 @@ class WorkerPool:
         run_fn: Callable[[RunSpec], Any],
         spec: RunSpec,
         timeout_s: Optional[float] = None,
-    ) -> "Future[CellResult]":
+    ) -> _Job:
         """Queue ``run_fn(spec)``; the next :meth:`poll` forks it.
 
         ``timeout_s`` is the cell's wall-clock deadline from its fork.
         """
-        from concurrent.futures import Future
-
-        future: Future[CellResult] = Future()
-        with self._lock:
-            if self._stop_at is not None:
-                raise RuntimeError("worker pool is stopping")
-            self._queued.append(_Job(run_fn, spec, timeout_s, future))
-            self.busy += 1
-            self._wake()
-        return future
+        if self._stop_at is not None:
+            raise RuntimeError("worker pool is stopping")
+        job = _Job(run_fn, spec, timeout_s)
+        self._queued.append(job)
+        self.busy += 1
+        return job
 
     def stop(self, grace_s: float = 0.0) -> None:
         """Refuse new cells, cancel queued ones, give running ones ``grace_s``.
 
-        The polling thread completes the stop: once the running cells
-        are done or the grace has run out, it kills the survivors,
-        cancels their futures, closes every pipe, and :meth:`poll`
-        returns False.  A later call can only shorten the grace.
+        :meth:`poll` completes the stop: once the running cells are
+        done or the grace has run out, it kills the survivors (their
+        ``result`` stays ``None``), closes every pipe and returns
+        False.  A later call can only shorten the grace.
         """
-        with self._lock:
-            stop_at = time.monotonic() + grace_s
-            if self._stop_at is None or stop_at < self._stop_at:
-                self._stop_at = stop_at
-            cancelled = list(self._queued)
-            self._queued.clear()
-            self.busy -= len(cancelled)
-            self._wake()
-        for job in cancelled:
-            job.future.cancel()
-
-    def _wake(self) -> None:
-        # Lock held: the polling thread closes the self-pipe under it.
-        if not self._closed:
-            with contextlib.suppress(BlockingIOError):  # wake pending
-                os.write(self._wake_w, b"\0")
+        stop_at = time.monotonic() + grace_s
+        if self._stop_at is None or stop_at < self._stop_at:
+            self._stop_at = stop_at
+        self.busy -= len(self._queued)
+        self._queued.clear()
 
     def poll(self, timeout: Optional[float] = None) -> bool:
         """Fork queued cells, wait up to ``timeout`` s, resolve what finished.
@@ -463,25 +432,17 @@ class WorkerPool:
         self._launch_queued()
         if self._stop_at is not None:
             timeout = min(timeout, max(0.0, self._stop_at - time.monotonic()))
-        ready = _wait_connections([*self._live, self._wake_r], timeout=timeout)
+        ready = _wait_connections(list(self._live), timeout=timeout)
         with _deferred_interrupts():
             return self._reap(set(ready))
 
     def _launch_queued(self) -> None:
-        while True:
-            with self._lock:
-                if not self._queued:
-                    return
-                spec = self._queued[0].spec
+        while self._queued:
             # Outside the deferred section, so an interrupt during a
             # build leaves the cell queued and the drain cancels it.
-            _prepare_inputs(spec)
+            _prepare_inputs(self._queued[0].spec)
             with _deferred_interrupts():
-                with self._lock:
-                    if not self._queued:  # a stop() cancelled it
-                        return
-                    job = self._queued.popleft()
-                self._launch(job)
+                self._launch(self._queued.popleft())
 
     def _launch(self, job: _Job) -> None:
         job.started = time.monotonic()
@@ -520,8 +481,6 @@ class WorkerPool:
         return parent_conn
 
     def _reap(self, ready: set) -> bool:
-        if self._wake_r in ready:
-            os.read(self._wake_r, 4096)
         now = time.monotonic()
         for conn, job in list(self._live.items()):
             if conn in ready:
@@ -531,17 +490,11 @@ class WorkerPool:
                     # Pipe closed without a message: the worker died
                     # mid-run (e.g. SIGKILL / segfault).
                     self.workers_lost += 1
-                    spec = job.spec
                     cell = CellResult(
-                        spec,
+                        job.spec,
                         "crashed",
                         error="worker died without reporting a result",
                         wall_clock_s=now - job.started,
-                        failure=WorkerCrashed(
-                            f"{spec.framework}:{spec.app}:{spec.dataset}"
-                            if isinstance(spec, RunSpec)
-                            else spec.label()
-                        ),
                     )
                 else:
                     cell = CellResult(job.spec, status, wall_clock_s=wall)
@@ -567,27 +520,20 @@ class WorkerPool:
         for job in list(self._live.values()):
             job.process.kill()
             self._finish(job, None)
-        with self._lock:
-            self._closed = True
-            os.close(self._wake_r)
-            os.close(self._wake_w)
+        self._closed = True
         return False
 
     def _finish(self, job: _Job, cell: Optional[CellResult]) -> None:
-        """Reap ``job``'s worker, then resolve its future (None cancels)."""
+        """Reap ``job``'s worker, then resolve it (None cancels)."""
         del self._live[job.conn]
         job.conn.close()
         _stop_process(job.process, grace_s=5.0)
         self._resolve(job, cell)
 
     def _resolve(self, job: _Job, cell: Optional[CellResult]) -> None:
-        """Hand ``job``'s slot back and resolve its future (None cancels)."""
-        with self._lock:
-            self.busy -= 1
-        if cell is None:
-            job.future.cancel()
-        else:
-            job.future.set_result(cell)
+        """Hand ``job``'s slot back and store its result (None cancels)."""
+        self.busy -= 1
+        job.result = cell
 
 
 def _run_serial(
@@ -647,14 +593,14 @@ def run_grid(
         return _run_serial(specs, run_fn)
 
     pool = WorkerPool()
-    futures = []
+    submitted: list[_Job] = []
     interrupted = False
     with _sigterm_as_interrupt():
         try:
-            while len(futures) < len(specs) or pool.busy:
-                while len(futures) < len(specs) and pool.busy < jobs:
-                    spec = specs[len(futures)]
-                    futures.append(pool.submit(run_fn, spec, timeout_s))
+            while len(submitted) < len(specs) or pool.busy:
+                while len(submitted) < len(specs) and pool.busy < jobs:
+                    spec = specs[len(submitted)]
+                    submitted.append(pool.submit(run_fn, spec, timeout_s))
                 pool.poll()
         except KeyboardInterrupt:
             # Graceful drain: stop launching, give in-flight cells a
@@ -673,17 +619,13 @@ def run_grid(
             while pool.poll():
                 pass
 
-    done = [future.result() for future in futures if not future.cancelled()]
+    done = [job.result for job in submitted if job.result is not None]
     if interrupted:
-        # A cancelled future is a cell that never ran or was killed
-        # by the drain; a submit the interrupt cut short never got
-        # its future appended, and stop() cancelled it.
-        unstarted = [
-            spec
-            for spec, future in zip(specs, futures)
-            if future.cancelled()
-        ]
-        raise GridInterrupted(done, unstarted + specs[len(futures):])
+        # A cancelled job is a cell that never ran or was killed by
+        # the drain; a submit the interrupt cut short never got its
+        # job appended, and stop() cancelled it.
+        unstarted = [job.spec for job in submitted if job.result is None]
+        raise GridInterrupted(done, unstarted + specs[len(submitted):])
     return done
 
 

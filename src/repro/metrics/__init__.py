@@ -10,11 +10,9 @@ from repro.metrics.counters import (
     FAULT_COUNTERS,
     RECOVERY_COUNTERS,
     RESILIENCE_COUNTERS,
-    SERVICE_COUNTERS,
     Counters,
     RunResult,
     fault_summary,
-    service_summary,
 )
 
 __all__ = [
@@ -23,9 +21,7 @@ __all__ = [
     "FAULT_COUNTERS",
     "RECOVERY_COUNTERS",
     "RESILIENCE_COUNTERS",
-    "SERVICE_COUNTERS",
     "fault_summary",
-    "service_summary",
     "burstiness",
     "byte_histogram",
     "peak_to_mean",

@@ -15,9 +15,7 @@ __all__ = [
     "FAULT_COUNTERS",
     "RECOVERY_COUNTERS",
     "RESILIENCE_COUNTERS",
-    "SERVICE_COUNTERS",
     "fault_summary",
-    "service_summary",
 ]
 
 #: The canonical fault/resilience counter family.  Injectors write the
@@ -54,11 +52,9 @@ RECOVERY_COUNTERS = (
 )
 
 
-#: The fail-stop *process* resilience family: what the fault-tolerant
-#: execution layers did about real OS-level worker loss.  The pooled
-#: PDES driver writes the checkpoint/replay/respawn names (via
-#: :class:`repro.sim.partition.WindowStats`); the serving layer writes
-#: the retry/quarantine names.  Deliberately kept out of
+#: The fail-stop *process* resilience family: what the pooled PDES
+#: driver did about real OS-level worker loss (written via
+#: :class:`repro.sim.partition.WindowStats`).  Deliberately kept out of
 #: :class:`RunResult.counters` — a recovered run must digest
 #: bit-identical to an undisturbed one, so these live in the run's
 #: *stats*, not its result.
@@ -66,45 +62,7 @@ RESILIENCE_COUNTERS = (
     "resilience_checkpoints_taken",
     "resilience_windows_replayed",
     "resilience_workers_respawned",
-    "resilience_jobs_retried",
-    "resilience_specs_quarantined",
 )
-
-
-#: The serving-layer counter family (:mod:`repro.serve`): what the
-#: ``repro serve`` front door did with the traffic it saw.  Requests
-#: are HTTP submits; cells are the run-grid units they expand to.
-#: ``service_deduped`` counts cells coalesced onto an identical
-#: in-flight execution (single-flight on the run-cache key);
-#: ``service_cache_hits`` counts cells answered by the persistent run
-#: cache inside a worker.  ``service_retries`` counts failed attempts
-#: re-queued under the per-class retry policy (``service_respawn_retries``
-#: is the subset caused by a worker crash rather than a deadline);
-#: ``service_quarantined`` counts specs poisoned out of admission after
-#: repeatedly crashing their worker.
-SERVICE_COUNTERS = (
-    "service_requests",
-    "service_rejected",
-    "service_cells",
-    "service_deduped",
-    "service_cache_hits",
-    "service_completed",
-    "service_failed",
-    "service_cancelled",
-    "service_retries",
-    "service_respawn_retries",
-    "service_quarantined",
-    "service_trace_exports",
-)
-
-
-def service_summary(counters: "Counters") -> dict[str, float]:
-    """The serving-layer counters present in a counter bag."""
-    return {
-        name: float(counters[name])
-        for name in SERVICE_COUNTERS
-        if name in counters
-    }
 
 
 def fault_summary(counters: "Counters") -> dict[str, float]:

@@ -1,34 +1,32 @@
-"""The serving layer as a DES workload on our own engine.
+"""The queueing self-model: a job queue as a DES workload on our own engine.
 
-``repro serve`` is a queueing system: Poisson-ish arrivals, a bounded
-admission queue, weighted priority scheduling, ``c`` worker slots.
-This module mirrors that configuration as a discrete-event simulation
-on :class:`repro.sim.core.Environment` — the same engine the paper
-reproduction runs on — so the service can be validated by the very
-simulator it serves.
+Poisson-ish arrivals, a bounded admission queue, weighted priority
+scheduling and ``c`` worker slots, simulated on
+:class:`repro.sim.core.Environment` — the same engine the paper
+reproduction runs on — so the queueing behaviour can be checked
+against theory by the very simulator under study.
 
-Fidelity comes from sharing, not re-implementing: the model pops jobs
-from the *same* :class:`repro.serve.scheduler.WeightedScheduler` class
-the live service uses, with the same admission bound and worker count.
-The only substitution is time itself — a job's measured (or synthetic)
-service demand becomes a simulated ``timeout`` instead of a worker
-process executing a cell.
+The model pops jobs from :class:`repro.serve.scheduler.WeightedScheduler`
+with its admission bound and worker count; a job's service demand
+becomes a simulated ``timeout``.
 
 Time unit note: the engine's clock is unit-agnostic; this model runs
-it in **seconds** (service-layer latencies), not the microseconds the
-GPU simulations use.
+it in **seconds** (queueing latencies), not the microseconds the GPU
+simulations use.
 """
 
 from __future__ import annotations
 
 import random
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
-from repro.serve.protocol import DEFAULT_PRIORITY, PRIORITY_CLASSES
-from repro.serve.scheduler import WeightedScheduler
-from repro.serve.stats import ServiceStats
+from repro.serve.scheduler import (
+    DEFAULT_PRIORITY,
+    PRIORITY_CLASSES,
+    WeightedScheduler,
+)
 from repro.sim.core import Environment
 
 __all__ = [
@@ -52,10 +50,10 @@ class Arrival:
 
 @dataclass
 class ArrivalLog:
-    """A replayable arrival sequence (recorded or synthetic)."""
+    """A replayable arrival sequence."""
 
     arrivals: list[Arrival]
-    #: Nominal recording horizon in seconds (>= last arrival time).
+    #: Nominal horizon in seconds (>= last arrival time).
     duration: float
 
     def __post_init__(self) -> None:
@@ -68,7 +66,7 @@ class ArrivalLog:
 
     @property
     def offered_rate(self) -> float:
-        """Arrivals per second over the recording horizon (lambda)."""
+        """Arrivals per second over the horizon (lambda)."""
         return len(self.arrivals) / self.duration if self.duration else 0.0
 
     @property
@@ -76,32 +74,6 @@ class ArrivalLog:
         if not self.arrivals:
             return 0.0
         return sum(a.service_s for a in self.arrivals) / len(self.arrivals)
-
-    @classmethod
-    def from_stats(cls, stats: ServiceStats) -> "ArrivalLog":
-        """Reconstruct the offered traffic from a service stats file.
-
-        Rejected arrivals carry no measured service time (they never
-        ran), so they replay with their priority class's mean demand —
-        the model decides for itself whether *it* would have rejected
-        them.
-        """
-        class_mean = {
-            p: (h.mean if h.n else 0.0)
-            for p, h in stats.service_time.items()
-        }
-        overall = stats.mean_service_s()
-        arrivals = []
-        horizon = 0.0
-        for record in stats.arrivals:
-            service = record.service_s
-            if service <= 0.0:
-                service = class_mean.get(record.priority) or overall
-            arrivals.append(Arrival(record.t_arrive, record.priority, service))
-            horizon = max(
-                horizon, record.t_arrive, record.t_done or 0.0
-            )
-        return cls(arrivals, duration=horizon)
 
 
 def poisson_log(
@@ -253,7 +225,7 @@ class ModelRun:
 
 
 class ServiceModel:
-    """Mirror of one ``repro serve`` configuration as a DES workload."""
+    """A bounded weighted-priority queue with ``workers`` servers, as a DES."""
 
     def __init__(
         self,
@@ -267,23 +239,10 @@ class ServiceModel:
         self.max_queue = max_queue
         self.weights = dict(weights or PRIORITY_CLASSES)
 
-    @classmethod
-    def from_stats(cls, stats: ServiceStats) -> "ServiceModel":
-        """Build the mirror from a stats file's recorded configuration."""
-        config = stats.config
-        return cls(
-            workers=int(config.get("workers", 1)),
-            max_queue=int(config.get("max_queue", 256)),
-            weights={
-                str(k): int(v)
-                for k, v in config.get("weights", PRIORITY_CLASSES).items()
-            },
-        )
-
     def simulate(
         self, log: ArrivalLog, sample_dt: Optional[float] = None
     ) -> ModelRun:
-        """Replay ``log`` through the mirrored service; drain fully."""
+        """Replay ``log`` through the modelled queue; drain fully."""
         env = Environment()
         sched = WeightedScheduler(self.weights, self.max_queue)
         idle: deque[int] = deque(range(self.workers))

@@ -1,10 +1,9 @@
 """Bounded admission queue with smooth weighted round-robin priorities.
 
-This is the scheduling heart of the serving layer, kept free of any
-asyncio/process machinery on purpose: the live HTTP service pops jobs
-from a ``WeightedScheduler`` exactly the way the DES service model
-does, so the model's predictions are about *this code*, not a
-re-implementation of it.
+The scheduling discipline of the queueing self-model
+(:mod:`repro.serve.model`), kept free of any simulation machinery so
+it can be tested on its own, and the one home of the priority-class
+table every part of the model shares.
 
 Discipline: smooth weighted round-robin (the nginx upstream algorithm)
 across the priority classes, FIFO within a class.  Each pop credits
@@ -17,8 +16,7 @@ waiting time (strict priority has no such bound; see
 ``repro.serve.validate.starvation_check``).
 
 Admission is a single bound across all classes: ``offer`` refuses once
-``max_queue`` jobs are waiting, and the HTTP layer turns that refusal
-into ``429 Retry-After``.
+``max_queue`` jobs are waiting.
 """
 
 from __future__ import annotations
@@ -26,9 +24,34 @@ from __future__ import annotations
 from collections import deque
 from typing import Any, Iterator, Optional
 
-from repro.serve.protocol import PRIORITY_CLASSES, validate_priority
+__all__ = [
+    "DEFAULT_PRIORITY",
+    "PRIORITY_CLASSES",
+    "WeightedScheduler",
+    "validate_priority",
+]
 
-__all__ = ["WeightedScheduler"]
+#: Priority classes and their scheduling weights.  Weighted (not
+#: strict) priority: an overloaded queue still serves ``bulk`` at
+#: ~1/12 of the pop rate instead of starving it — the starvation bound
+#: the queueing validator checks.
+PRIORITY_CLASSES: dict[str, int] = {
+    "interactive": 8,
+    "batch": 3,
+    "bulk": 1,
+}
+
+#: Priority of an arrival that names none.
+DEFAULT_PRIORITY = "batch"
+
+
+def validate_priority(priority: str) -> str:
+    if priority not in PRIORITY_CLASSES:
+        raise ValueError(
+            f"unknown priority {priority!r}; known: "
+            f"{sorted(PRIORITY_CLASSES)}"
+        )
+    return priority
 
 
 class WeightedScheduler:
@@ -103,9 +126,3 @@ class WeightedScheduler:
             self._credit[winner] = 0.0
         self._size -= 1
         return winner, job
-
-    def retry_after_s(self, mean_service_s: float, workers: int) -> int:
-        """A 429 Retry-After estimate: time to drain the current queue."""
-        workers = max(1, workers)
-        mean_service_s = max(mean_service_s, 1e-3)
-        return max(1, int(round(self._size * mean_service_s / workers)))

@@ -1,17 +1,11 @@
 """The queueing self-validation study behind ``repro serve-validate``.
 
-Two modes:
-
-* **Synthetic** (default): generate seeded M/M/1 arrival logs at
-  several utilization levels, replay them through the mirrored
-  :class:`~repro.serve.model.ServiceModel`, and check Little's law at
-  every level, the M/M/1 latency blow-up across levels, and the
-  priority starvation bound under an overload mix.  This produces the
-  table committed in EXPERIMENTS.md.
-* **Recorded** (``--log``): load a drained service's stats file,
-  replay its recorded arrival log through the model built from its
-  recorded configuration, and compare predicted mean latency and
-  occupancy against what the live service measured.
+Generate seeded M/M/1 arrival logs at several utilization levels,
+replay them through :class:`~repro.serve.model.ServiceModel`, and
+check Little's law at every level, the M/M/1 latency blow-up across
+levels, and the priority starvation bound under an overload mix.
+This produces ``SERVE_VALIDATION.json`` and the table committed in
+EXPERIMENTS.md.
 """
 
 from __future__ import annotations
@@ -19,12 +13,10 @@ from __future__ import annotations
 import json
 from typing import Any, Optional
 
-from repro.serve.model import ArrivalLog, ServiceModel, poisson_log
-from repro.serve.protocol import PRIORITY_CLASSES
-from repro.serve.stats import ServiceStats
+from repro.serve.model import ServiceModel, poisson_log
+from repro.serve.scheduler import PRIORITY_CLASSES
 from repro.serve.validate import (
     CheckResult,
-    compare_with_live,
     littles_law_check,
     mm1_trend_check,
     starvation_check,
@@ -34,7 +26,6 @@ __all__ = [
     "run_serve_study",
     "render_study",
     "write_study",
-    "run_log_replay",
     "STUDY_SCHEMA",
 ]
 
@@ -144,8 +135,8 @@ def _check_json(check: CheckResult) -> dict[str, Any]:
 def render_study(doc: dict[str, Any]) -> str:
     """The human/EXPERIMENTS rendering of a study document."""
     lines = [
-        "queueing self-validation: the serving layer replayed on our "
-        "own DES engine",
+        "queueing self-validation: a weighted-priority job queue "
+        "replayed on our own DES engine",
         f"(M/M/1, mean service {doc['mean_service_s']:.1f} s, "
         f"{doc['duration_s']:.0f} s base horizon stretched "
         f"~(1-rho)^-2 near saturation, seed {doc['seed']})",
@@ -194,26 +185,3 @@ def write_study(doc: dict[str, Any], path: str) -> None:
     with open(path, "w") as handle:
         json.dump(doc, handle, indent=1)
         handle.write("\n")
-
-
-def run_log_replay(stats_path: str) -> tuple[str, bool]:
-    """Replay a recorded service log through the model; render verdict."""
-    stats = ServiceStats.read(stats_path)
-    log = ArrivalLog.from_stats(stats)
-    if not log.arrivals:
-        raise ValueError(f"{stats_path}: arrival log is empty")
-    model = ServiceModel.from_stats(stats)
-    run = model.simulate(log)
-    little = littles_law_check(run)
-    live = compare_with_live(stats, run)
-    lines = [
-        f"recorded arrival log: {len(log)} arrivals over "
-        f"{log.duration:.2f} s ({stats_path})",
-        f"model config: {model.workers} worker(s), "
-        f"max queue {model.max_queue}",
-        f"model Little's law: {little.summary} -> "
-        f"{'ok' if little.ok else 'FAILED'}",
-        f"live vs model:      {live.summary} -> "
-        f"{'ok' if live.ok else 'FAILED'}",
-    ]
-    return "\n".join(lines), bool(little.ok and live.ok)

@@ -1,6 +1,6 @@
-"""Queueing-theory validators for the serving layer.
+"""Queueing-theory validators for the queueing self-model.
 
-Three invariants a correct service (and a faithful model of it) must
+Three invariants a correct queue (and a faithful model of it) must
 exhibit:
 
 * **Little's law** — the time-average number of jobs in the system
@@ -10,7 +10,7 @@ exhibit:
 * **M/M/1 latency nonlinearity** — with one worker and Markovian
   traffic, mean time in system is ``W = s / (1 - rho)``: latency must
   blow up hyperbolically (monotone *and* convex) as utilization
-  approaches 1.  A service whose measured latencies stay linear in
+  approaches 1.  A model whose measured latencies stay linear in
   load is not telling the truth about its queue.
 * **Bounded priority starvation** — smooth weighted round-robin
   guarantees a class with weight ``w`` at least ``w / sum(weights)``
@@ -25,10 +25,9 @@ numbers, so the study harness can print them as the EXPERIMENTS table.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Optional
+from typing import Any
 
-from repro.serve.model import ArrivalLog, ModelRun, ServiceModel
-from repro.serve.stats import ServiceStats
+from repro.serve.model import ModelRun
 
 __all__ = [
     "CheckResult",
@@ -36,7 +35,6 @@ __all__ = [
     "mm1_theory_latency",
     "mm1_trend_check",
     "starvation_check",
-    "compare_with_live",
 ]
 
 
@@ -219,58 +217,5 @@ def starvation_check(
             "violations": violations,
             "slack": slack,
             "safe_level": safe_level,
-        },
-    )
-
-
-def compare_with_live(
-    stats: ServiceStats,
-    run: Optional[ModelRun] = None,
-    tol: float = 0.35,
-) -> CheckResult:
-    """Replay a live service's arrival log; compare model vs measured.
-
-    The model predicts mean latency and time-average occupancy for the
-    recorded traffic under the recorded configuration.  Tolerance is
-    loose by design — the live numbers include host scheduling jitter,
-    worker warm-up, and cache effects the queueing model abstracts
-    away — but a service whose front door misbehaves (unbounded queue,
-    priority inversion, lost completions) misses by far more.
-    """
-    log = ArrivalLog.from_stats(stats)
-    if run is None:
-        run = ServiceModel.from_stats(stats).simulate(log)
-    done = [
-        r
-        for r in stats.arrivals
-        if r.status == "completed"
-        and r.t_done is not None
-    ]
-    if not done:
-        raise ValueError("stats contain no completed arrivals to compare")
-    live_w = sum(r.t_done - r.t_arrive for r in done) / len(done)
-    horizon = max(r.t_done for r in done)
-    live_l = sum(r.t_done - r.t_arrive for r in done) / max(horizon, 1e-12)
-    model_w = run.mean_latency_s()
-    model_l = run.time_avg_in_system
-    err_w = abs(model_w - live_w) / max(live_w, 1e-12)
-    err_l = abs(model_l - live_l) / max(live_l, 1e-9)
-    ok = err_w <= tol and err_l <= tol
-    return CheckResult(
-        name="live_vs_model",
-        ok=ok,
-        summary=(
-            f"mean latency live {live_w:.4f}s vs model {model_w:.4f}s "
-            f"({err_w * 100:.1f}%); occupancy live {live_l:.3f} vs "
-            f"model {model_l:.3f} ({err_l * 100:.1f}%); tol {tol * 100:.0f}%"
-        ),
-        detail={
-            "live_W_s": live_w,
-            "model_W_s": model_w,
-            "live_L": live_l,
-            "model_L": model_l,
-            "rel_err_W": err_w,
-            "rel_err_L": err_l,
-            "tol": tol,
         },
     )

@@ -1,27 +1,23 @@
-"""The worker supervisor polled from its own thread, as the service runs it.
+"""The worker supervisor, driven by submit/poll/stop on one thread.
 
-``repro serve`` polls :class:`WorkerPool` from one reaper thread while
-its event loop submits cells, so these tests drive the pool the same
-way: deadline kills under load, a worker killed mid-cell, a drain
-racing workers that exit on their own (one closer per pipe, all on the
-polling thread), and a submit landing while the reaper is blocked in
-its wait, and a fork that fails.  ``run_grid`` polls on its calling thread instead, which
-keeps every fork in a single-threaded process.
+:func:`run_grid` is the pool's driver and polls on its calling thread,
+so these tests drive :class:`WorkerPool` the same way: deadline kills
+under load, a worker killed mid-cell, a drain racing workers that exit
+on their own (every pipe closed exactly once), and a fork that fails.
+Every fork therefore comes from a single-threaded process.
 """
 
+import contextlib
 import errno
 import os
 import signal
 import threading
 import time
-from collections import defaultdict
 from multiprocessing.connection import Connection
 from multiprocessing.process import BaseProcess
 
 import pytest
 
-from repro.errors import WorkerCrashed
-from repro.harness import pool as pool_mod
 from repro.harness.pool import RunSpec, WorkerPool, run_grid
 
 pytestmark = pytest.mark.filterwarnings("ignore::ResourceWarning")
@@ -58,40 +54,38 @@ def _spec(seed: int) -> RunSpec:
     )
 
 
-class Reaper:
-    """A pool polled from its own thread until it stops."""
-
-    def __init__(self):
-        self.pool = WorkerPool()
-        self.thread = threading.Thread(target=self._loop, daemon=True)
-
-    def _loop(self):
-        while self.pool.poll():
+@contextlib.contextmanager
+def running_pool():
+    """A pool that is stopped and fully reaped however the test exits."""
+    pool = WorkerPool()
+    try:
+        yield pool
+    finally:
+        pool.stop(grace_s=5.0)
+        while pool.poll():
             pass
 
-    def __enter__(self):
-        self.thread.start()
-        return self.pool
 
-    def __exit__(self, *exc):
-        self.pool.stop(grace_s=5.0)
-        self.thread.join(timeout=30)
-        assert not self.thread.is_alive(), "reaper did not exit"
+def resolve(pool, job, limit_s=30.0):
+    """Poll ``pool`` on this thread until ``job`` resolves."""
+    deadline = time.monotonic() + limit_s
+    while job.result is None:
+        assert time.monotonic() < deadline, "cell never resolved"
+        pool.poll()
+    return job.result
 
 
 def test_deadline_kill_under_load_then_recovers():
-    with Reaper() as pool:
+    with running_pool() as pool:
         # One cell that must die at its deadline, one that must not:
         # the kill must be surgical under concurrent load.
         doomed = pool.submit(sleepy_run, _spec(seed=5000), timeout_s=1.0)
         healthy = pool.submit(sleepy_run, _spec(seed=10), timeout_s=1.0)
-        assert healthy.result(timeout=30).status == "ok"
-        dead = doomed.result(timeout=30)
-        assert dead.status == "timeout"
-        assert dead.failure is None  # deadline, not crash: typed apart
+        assert resolve(pool, healthy).status == "ok"
+        assert resolve(pool, doomed).status == "timeout"
         assert pool.workers_lost == 1
         # The pool serves new work immediately.
-        again = pool.submit(sleepy_run, _spec(seed=10)).result(timeout=30)
+        again = resolve(pool, pool.submit(sleepy_run, _spec(seed=10)))
         assert again.status == "ok"
         assert pool.busy == 0
 
@@ -99,65 +93,65 @@ def test_deadline_kill_under_load_then_recovers():
 def test_killed_worker_resolves_once_as_crashed(tmp_path, monkeypatch):
     monkeypatch.setenv(_PID_DIR_ENV, str(tmp_path))
     resolutions = []
-    with Reaper() as pool:
-        future = pool.submit(sleepy_run, _spec(seed=20000))
-        future.add_done_callback(resolutions.append)
+    record = WorkerPool._resolve
+
+    def recording_resolve(pool, job, cell):
+        resolutions.append(job)
+        record(pool, job, cell)
+
+    monkeypatch.setattr(WorkerPool, "_resolve", recording_resolve)
+    with running_pool() as pool:
+        job = pool.submit(sleepy_run, _spec(seed=20000))
         pid_file = tmp_path / "20000.pid"
         deadline = time.monotonic() + 30.0
         while not pid_file.exists() or not pid_file.read_text():
             assert time.monotonic() < deadline, "cell never started"
-            time.sleep(0.01)
+            pool.poll(timeout=0.01)
         os.kill(int(pid_file.read_text()), signal.SIGKILL)
-        outcome = future.result(timeout=30)
-        assert outcome.status == "crashed"
-        assert isinstance(outcome.failure, WorkerCrashed)
-        assert outcome.failure.spec_key.startswith(
-            "atos-standard-persistent:bfs:"
-        )
-        # The reaper keeps going and never touches the future again.
-        assert pool.submit(sleepy_run, _spec(seed=1)).result(timeout=30).ok
-    assert resolutions == [future]
+        outcome = resolve(pool, job)
+        assert outcome.status == "crashed"  # not "timeout": no deadline
+        assert "died without reporting" in outcome.error
+        # The pool keeps going and never touches the job again.
+        later = pool.submit(sleepy_run, _spec(seed=1))
+        assert resolve(pool, later).ok
+        assert job.result is outcome
+    assert resolutions == [job, later]
     assert pool.workers_lost == 1
 
 
 @pytest.mark.parametrize("round_", range(10))
 def test_drain_while_workers_exit(round_, monkeypatch):
     # Workers exit on their own (crashing mid-cell) while ``stop``
-    # ends the pool from another thread, so the reaper and the
-    # stopping thread both see those pipes close.  Each connection
-    # must be closed from one thread only — the reaper; a second
-    # closer can hit a reused descriptor — and every cell must resolve.
-    closers = defaultdict(set)
+    # ends the pool, so the drain races their pipes closing.  Every
+    # cell must resolve, and every pipe end must be closed exactly
+    # once: a second close can hit a reused descriptor.
+    closed = []
     close = Connection.close
 
     def recording_close(conn):
-        closers[conn].add(threading.get_ident())
+        closed.append(conn)
         close(conn)
 
     monkeypatch.setattr(Connection, "close", recording_close)
-    reaper = Reaper()
-    with reaper as pool:
-        futures = [pool.submit(exit_run, _spec(seed=s)) for s in (0, 2, 4)]
-        futures[0].result(timeout=30)  # workers are forked and exiting
-        pool.stop(grace_s=0.0)
-        reaper.thread.join(timeout=30)
-    assert not reaper.thread.is_alive()
-    for future in futures:
-        assert future.done()
-        if not future.cancelled():
-            outcome = future.result()
-            assert outcome.status == "crashed"
-            assert isinstance(outcome.failure, WorkerCrashed)
-    assert closers
-    assert all(
-        threads == {reaper.thread.ident} for threads in closers.values()
-    )
+    pool = WorkerPool()
+    jobs = [pool.submit(exit_run, _spec(seed=s)) for s in (0, 2, 4)]
+    resolve(pool, jobs[0])  # workers are forked and exiting
+    pool.stop(grace_s=0.0)
+    while pool.poll():
+        pass
+    assert pool.busy == 0
+    for job in jobs:
+        # Resolved as crashed, or cancelled (None) by the stop.
+        assert job.result is None or job.result.status == "crashed"
+    assert jobs[0].result.status == "crashed"
+    # Both ends of each worker's pipe, each closed once.
+    assert len(closed) == 2 * len(jobs)
+    assert len({id(conn) for conn in closed}) == len(closed)
 
 
 def test_failed_fork_fails_one_cell_not_the_pool(monkeypatch):
-    # Forking is the polling thread's job, so a fork refused under
-    # load (EAGAIN, ENOMEM, EMFILE) must cost that one cell and must
-    # not end the reaper: later cells still run.
+    # A fork refused under load (EAGAIN, ENOMEM, EMFILE) must cost
+    # that one cell and must not end the pool: later cells still run.
     closed = []
     close = Connection.close
 
@@ -175,32 +169,16 @@ def test_failed_fork_fails_one_cell_not_the_pool(monkeypatch):
 
     monkeypatch.setattr(Connection, "close", recording_close)
     monkeypatch.setattr(BaseProcess, "start", refusing_start)
-    reaper = Reaper()
-    with reaper as pool:
-        outcome = pool.submit(sleepy_run, _spec(seed=0)).result(timeout=30)
+    with running_pool() as pool:
+        outcome = resolve(pool, pool.submit(sleepy_run, _spec(seed=0)))
         assert outcome.status == "error"
         assert "Resource temporarily unavailable" in outcome.error
-        assert outcome.failure is None
         assert len(closed) == 2  # both ends of the unused pipe
         assert pool.busy == 0
-        again = pool.submit(sleepy_run, _spec(seed=1)).result(timeout=30)
+        again = resolve(pool, pool.submit(sleepy_run, _spec(seed=1)))
         assert again.ok
-        assert reaper.thread.is_alive()
+        assert pool.poll(timeout=0.0)  # still running
     assert pool.workers_lost == 0
-
-
-def test_submit_wakes_a_blocked_poll(monkeypatch):
-    # With a 10 s poll interval the reaper sits in its wait; cells
-    # submitted from another thread must still start and resolve at
-    # once, not when the wait times out.
-    monkeypatch.setattr(pool_mod, "_REAP_POLL_S", 10.0)
-    with Reaper() as pool:
-        time.sleep(0.1)  # let the reaper block in its wait
-        start = time.monotonic()
-        futures = [pool.submit(sleepy_run, _spec(seed=0)) for _ in range(6)]
-        for future in futures:
-            assert future.result(timeout=30).ok
-        assert time.monotonic() - start < 5.0
 
 
 def test_grid_forks_only_from_a_single_threaded_process(monkeypatch):

@@ -1,4 +1,4 @@
-"""The DES service model and its queueing-theory validators.
+"""The queueing self-model and its queueing-theory validators.
 
 Each validator is tested both ways: a healthy trajectory passes, and a
 deliberately broken one — doctored occupancy, linear latencies, a
@@ -6,17 +6,13 @@ strict-priority scheduler — fails.  A validator that cannot fail is
 not validating anything.
 """
 
+import json
+from pathlib import Path
+
 import pytest
 
-from repro.serve.model import (
-    Arrival,
-    ArrivalLog,
-    ModelRun,
-    ServiceModel,
-    poisson_log,
-)
-from repro.serve.protocol import PRIORITY_CLASSES
-from repro.serve.stats import ArrivalRecord, ServiceStats
+from repro.serve.model import ModelRun, ServiceModel, poisson_log
+from repro.serve.scheduler import PRIORITY_CLASSES
 from repro.serve.validate import (
     littles_law_check,
     mm1_theory_latency,
@@ -194,31 +190,19 @@ def test_quick_study_passes_end_to_end():
     assert "overall: PASS" in rendered
 
 
+def test_full_study_matches_committed_document():
+    # SERVE_VALIDATION.json is the committed output of
+    # `repro serve-validate --out`: the full study must reproduce it
+    # exactly, not merely pass its checks again.
+    from repro.serve.study import run_serve_study
+
+    committed = Path(__file__).resolve().parents[2] / "SERVE_VALIDATION.json"
+    doc = run_serve_study(seed=0, quick=False)
+    assert json.loads(json.dumps(doc)) == json.loads(committed.read_text())
+
+
 def test_starvation_needs_two_classes():
     with pytest.raises(ValueError):
         starvation_check(
             {"batch": 1.0}, {"batch": 0.5}, 1.0, 1, PRIORITY_CLASSES
         )
-
-
-# -------------------------------------------------- stats round trips
-def test_arrival_log_from_stats_backfills_rejected_service():
-    stats = ServiceStats()
-    stats.record_cell(
-        ArrivalRecord(0.0, "batch", "completed", 2.0, t_start=0.0, t_done=2.0)
-    )
-    stats.record_rejected("batch")
-    log = ArrivalLog.from_stats(stats)
-    assert len(log) == 2
-    # The rejected arrival replays with its class's mean demand.
-    assert log.arrivals[-1].service_s == pytest.approx(2.0)
-
-
-def test_model_from_stats_reads_config():
-    stats = ServiceStats(
-        config={"workers": 3, "max_queue": 7, "weights": {"batch": 2}}
-    )
-    model = ServiceModel.from_stats(stats)
-    assert model.workers == 3
-    assert model.max_queue == 7
-    assert model.weights == {"batch": 2}

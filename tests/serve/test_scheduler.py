@@ -10,7 +10,7 @@ is deterministic).
 
 import pytest
 
-from repro.serve.protocol import PRIORITY_CLASSES
+from repro.serve.scheduler import PRIORITY_CLASSES
 from repro.serve.scheduler import WeightedScheduler
 
 
@@ -49,7 +49,7 @@ def test_interleaving_not_bursty():
     assert longest <= PRIORITY_CLASSES["interactive"]
 
 
-def test_bounded_admission_and_retry_after():
+def test_bounded_admission():
     sched = WeightedScheduler(max_queue=3)
     assert sched.offer("batch", 1)
     assert sched.offer("bulk", 2)
@@ -57,9 +57,6 @@ def test_bounded_admission_and_retry_after():
     assert sched.full
     assert not sched.offer("batch", 4)  # refused, not raised
     assert len(sched) == 3
-    # Retry-After ~= queue depth * mean service / workers, floored at 1.
-    assert sched.retry_after_s(2.0, workers=2) == 3
-    assert sched.retry_after_s(0.001, workers=8) == 1
     sched.pop()
     assert not sched.full
     assert sched.offer("batch", 4)

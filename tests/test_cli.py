@@ -141,6 +141,22 @@ def test_removed_fault_verbs_are_usage_errors(verb, capsys):
     assert "invalid choice" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["serve"], ["submit"], ["status"], ["watch", "j00001"],
+    ["report", "--service", "stats.json"],
+    ["serve-validate", "--log", "stats.json"],
+], ids=" ".join)
+def test_removed_serve_surface_is_a_usage_error(argv, capsys):
+    # The HTTP serving layer is gone; only its queueing self-model
+    # (`serve-validate`) remains, so argparse rejects the old verbs
+    # and flags.
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "invalid choice" in err or "unrecognized arguments" in err
+
+
 def test_run_partitions_flags_parse():
     args = build_parser().parse_args(
         ["run", "--framework", "atos-standard-persistent", "--app",
