@@ -305,16 +305,12 @@ def _cmd_cache(args: argparse.Namespace) -> int:
 
 
 def _cmd_tune(args: argparse.Namespace) -> int:
-    import os
-
     from repro.tune import (
         render_tune_bench,
         run_fig4_study,
-        run_study,
         validate_tune_bench,
+        write_bench,
     )
-    from repro.tune.space import Space
-    from repro.tune.study import write_bench
 
     if args.validate:
         import json
@@ -325,39 +321,13 @@ def _cmd_tune(args: argparse.Namespace) -> int:
         print(f"{args.validate}: valid ({n_trials} trials)")
         return 0
 
-    journal = args.journal
-    if journal is None and args.out:
-        journal = os.path.splitext(args.out)[0] + ".ndjson"
-
-    if args.preset == "fig4":
-        doc = run_fig4_study(
-            quick=args.quick,
-            seed=args.seed,
-            jobs=args.jobs,
-            timeout_s=args.timeout,
-            journal_path=journal,
-        )
-    else:
-        if not args.space:
-            print("tune: need --preset fig4 or --space FILE")
-            return 2
-        with open(args.space) as fh:
-            space = Space.from_json(fh.read())
-        doc = run_study(
-            space,
-            searcher=args.searcher,
-            budget=args.budget,
-            objective=args.objective,
-            seed=args.seed,
-            jobs=args.jobs,
-            timeout_s=args.timeout,
-            journal_path=journal,
-            quick=args.quick,
-        )
+    doc = run_fig4_study(
+        quick=args.quick, jobs=args.jobs, timeout_s=args.timeout
+    )
     print(render_tune_bench(doc))
     if args.out:
         write_bench(doc, args.out)
-        print(f"\nwrote {args.out} (journal: {journal})")
+        print(f"\nwrote {args.out}")
     return 0
 
 
@@ -589,45 +559,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     tune = sub.add_parser(
         "tune",
-        help="design-space exploration: searchers over the cached "
-        "simulator (headline: the Fig-4 sensitivity study)",
-    )
-    tune.add_argument(
-        "--preset",
-        choices=("fig4",),
-        default=None,
-        help="run a named study preset instead of --space",
-    )
-    tune.add_argument(
-        "--space",
-        default=None,
-        metavar="FILE",
-        help="JSON parameter-space definition (see repro.tune.space)",
-    )
-    tune.add_argument(
-        "--searcher",
-        default="random",
-        metavar="NAME",
-        help="random | grid | evolutionary | sha (--space mode only)",
-    )
-    tune.add_argument(
-        "--budget",
-        type=int,
-        default=16,
-        metavar="N",
-        help="evaluation-unit budget (--space mode only)",
-    )
-    tune.add_argument(
-        "--objective",
-        default="makespan",
-        metavar="NAME",
-        help="makespan | critical_path | msg_throughput | composite "
-        "(--space mode only)",
+        help="Fig-4 sensitivity sweep: BATCH_SIZE x WAIT_TIME per app",
     )
     tune.add_argument(
         "--quick",
         action="store_true",
-        help="smaller preset grids (fig4: BFS only)",
+        help="BFS only, on a 3x4 subset of the sweep levels",
     )
     tune.add_argument("--jobs", type=int, default=None, metavar="N")
     tune.add_argument(
@@ -641,20 +578,12 @@ def build_parser() -> argparse.ArgumentParser:
         "BENCH_tune.json)",
     )
     tune.add_argument(
-        "--journal",
-        default=None,
-        metavar="PATH",
-        help="resumable NDJSON trial journal (default: --out path "
-        "with .ndjson suffix)",
-    )
-    tune.add_argument(
         "--validate",
         default=None,
         metavar="PATH",
         help="schema-check an existing BENCH_tune.json and exit "
         "(no study run)",
     )
-    add_seed_flag(tune)
     tune.set_defaults(func=_cmd_tune)
 
     chaos = sub.add_parser(

@@ -121,7 +121,8 @@ def validate_tuning(
 class ConfigOverlay:
     """A validated, hashable bundle of tuning-knob overrides.
 
-    The unit of configuration a design-space point compiles into: every
+    What a Fig-4 sweep cell (:mod:`repro.tune`) or a partitioned
+    ``repro run`` sets on top of the evaluation defaults: every
     field is optional (``None`` = keep the default), bounds are checked
     centrally in ``__post_init__`` via :func:`validate_tuning` so a
     malformed overlay raises :class:`repro.errors.ConfigError` before
@@ -134,10 +135,6 @@ class ConfigOverlay:
     batch_size: "int | None" = None
     #: Aggregator poll visits before a timeout flush.
     wait_time: "int | None" = None
-    #: Tasks popped per worker per scheduling round.
-    fetch_size: "int | None" = None
-    #: DES event-queue variant (``heap`` | ``calendar``).
-    engine_queue: "str | None" = None
     #: Partition the simulation across N event loops (>= 2 engages the
     #: windowed PDES engine; results stay digest-identical to serial).
     partitions: "int | None" = None
@@ -148,8 +145,6 @@ class ConfigOverlay:
         validate_tuning(
             batch_size=self.batch_size,
             wait_time=self.wait_time,
-            fetch_size=self.fetch_size,
-            engine_queue=self.engine_queue,
             partitions=self.partitions,
             pdes_driver=self.pdes_driver,
         )
@@ -178,7 +173,7 @@ class ConfigOverlay:
     def executor_overrides(self) -> dict[str, Any]:
         """The subset applied to :class:`repro.runtime.AtosConfig`."""
         out: dict[str, Any] = {}
-        for name in ("batch_size", "wait_time", "fetch_size"):
+        for name in ("batch_size", "wait_time"):
             value = getattr(self, name)
             if value is not None:
                 out[name] = value

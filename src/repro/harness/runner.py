@@ -45,7 +45,6 @@ from repro.graph import bfs_grow_partition, bfs_source, load, random_partition
 from repro.graph.partition import Partition
 from repro.gpu.kernel import KernelStrategy
 from repro.metrics.counters import RunResult
-from repro.sim.equeue import ENGINE_QUEUE_ENV
 from repro.apps.validation import (
     pagerank_close,
     reference_bfs,
@@ -253,18 +252,13 @@ def clear_memory_cache() -> None:
 
 
 @contextlib.contextmanager
-def pinned_env(name: str, value: Optional[str]) -> Iterator[None]:
+def pinned_env(name: str, value: str) -> Iterator[None]:
     """Temporarily set the environment variable ``name`` to ``value``.
 
-    The engine reads ``REPRO_ENGINE_QUEUE`` and the executor reads
-    ``REPRO_TELEMETRY`` per construction, so setting them around one
-    compute (and restoring afterwards) is the process-safe way to
-    select the queue or tracing for exactly one run.  ``value=None``
-    leaves the environment untouched.
+    The executor reads ``REPRO_TELEMETRY`` per construction, so setting
+    it around one compute (and restoring afterwards) is the
+    process-safe way to trace exactly one run.
     """
-    if value is None:
-        yield
-        return
     prev = os.environ.get(name)
     os.environ[name] = value
     try:
@@ -358,11 +352,9 @@ def _compute(
 
     Overlay routing: executor knobs become driver overrides (Atos
     frameworks only — the baselines do not expose them, and silently
-    ignoring a knob would poison a tuning study); ``engine_queue`` is
-    pinned via the environment for exactly this computation;
-    ``partitions >= 2`` routes the cell through the windowed PDES
-    coordinator and attaches its :class:`WindowStats` as
-    ``host_stats`` so critical-path objectives can read it.
+    ignoring a knob would mis-measure a sweep); ``partitions >= 2``
+    routes the cell through the windowed PDES coordinator and attaches
+    its :class:`WindowStats` as ``host_stats``.
     """
     if app not in ("bfs", "pagerank"):
         raise ConfigurationError(f"unknown app {app!r}")
@@ -376,45 +368,43 @@ def _compute(
         raise ConfigError(
             f"overlay {overlay.as_dict()} requires an atos framework "
             f"(got {framework!r}): baseline drivers expose no "
-            f"batch/wait/fetch knobs and no partitioned execution"
+            f"batch/wait knobs and no partitioned execution"
         )
     if exec_overrides and not partitioned:
         driver.overrides.update(exec_overrides)
-    engine_queue = overlay.engine_queue if overlay else None
-    with pinned_env(ENGINE_QUEUE_ENV, engine_queue):
-        if partitioned:
-            from repro.runtime.partitioned import run_partitioned
-            from repro.sim.partition import WindowStats
+    if partitioned:
+        from repro.runtime.partitioned import run_partitioned
+        from repro.sim.partition import WindowStats
 
-            stats = WindowStats()
-            result = run_partitioned(
-                app,
-                graph,
-                partition,
-                machine,
-                n_partitions=partitions,
-                driver=overlay.pdes_driver or "local",
-                source=bfs_source(dataset) if app == "bfs" else 0,
-                epsilon=PR_EPSILON,
-                dataset=dataset,
-                kernel=driver.kernel,
-                priority=driver.priority,
-                variant_name=driver.name,
-                base_config=driver.base_config,
-                config_overrides=exec_overrides or None,
-                stats=stats,
-            )
-            result.host_stats = stats.as_dict()
-        elif app == "bfs":
-            result = driver.run_bfs(
-                graph, partition, bfs_source(dataset), machine,
-                dataset=dataset,
-            )
-        else:
-            result = driver.run_pagerank(
-                graph, partition, machine, epsilon=PR_EPSILON,
-                dataset=dataset,
-            )
+        stats = WindowStats()
+        result = run_partitioned(
+            app,
+            graph,
+            partition,
+            machine,
+            n_partitions=partitions,
+            driver=overlay.pdes_driver or "local",
+            source=bfs_source(dataset) if app == "bfs" else 0,
+            epsilon=PR_EPSILON,
+            dataset=dataset,
+            kernel=driver.kernel,
+            priority=driver.priority,
+            variant_name=driver.name,
+            base_config=driver.base_config,
+            config_overrides=exec_overrides or None,
+            stats=stats,
+        )
+        result.host_stats = stats.as_dict()
+    elif app == "bfs":
+        result = driver.run_bfs(
+            graph, partition, bfs_source(dataset), machine,
+            dataset=dataset,
+        )
+    else:
+        result = driver.run_pagerank(
+            graph, partition, machine, epsilon=PR_EPSILON,
+            dataset=dataset,
+        )
     if validate:
         if app == "bfs":
             if not np.array_equal(

@@ -1,4 +1,9 @@
-"""Suite-wide test settings: a per-test watchdog.
+"""Suite-wide test settings: a private run cache and a per-test watchdog.
+
+The suite is hermetic: a session fixture points ``REPRO_CACHE_DIR`` at
+a fresh temporary directory and clears ``REPRO_JOBS``, so no test
+reads or writes the user's ``~/.cache/repro-atos`` and the suite's
+wall time does not depend on earlier runs or the caller's environment.
 
 A test that hangs — a deadlocked pipe, a future nobody resolves —
 would otherwise stall the whole run until an outer timeout kills it
@@ -32,6 +37,15 @@ BACKSTOP_S = 30.0
 #: faulthandler writes to a raw descriptor; this one is a copy of the
 #: session's stderr, so it outlives any per-test redirection.
 _STDERR_FD = pytest.StashKey[int]()
+
+
+@pytest.fixture(scope="session", autouse=True)
+def private_run_cache(tmp_path_factory):
+    """Run the whole session against an empty cache, serially by default."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("REPRO_CACHE_DIR", str(tmp_path_factory.mktemp("cache")))
+        mp.delenv("REPRO_JOBS", raising=False)
+        yield
 
 
 class WatchdogTimeout(Exception):

@@ -164,6 +164,12 @@ def test_config_overlay_validates_and_serializes():
         "batch_size": 1 << 18, "wait_time": 8,
     }
     assert ConfigOverlay.from_dict(overlay.as_dict()) == overlay
+    # Only knobs a caller sets are fields: fetch_size and the engine
+    # queue are executor/environment settings, not overlay knobs.
+    with pytest.raises(ConfigError):
+        ConfigOverlay.from_dict({"fetch_size": 4})
+    with pytest.raises(ConfigError):
+        ConfigOverlay.from_dict({"engine_queue": "calendar"})
     with pytest.raises(ConfigError):
         ConfigOverlay(batch_size=0)
     with pytest.raises(ConfigError):

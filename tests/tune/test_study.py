@@ -1,209 +1,76 @@
-"""Study-runner tests: journal resume, BENCH document schema."""
+"""The Fig-4 sweep: analysis pin, one live cell, document schema.
+
+``benchmarks/test_tune_fig4_sweep.py`` reruns the whole study and
+requires it to equal ``BENCH_tune.json``; these are the tier-1 pieces
+of that pin.
+"""
 
 import json
+from pathlib import Path
 
 import pytest
 
 from repro.harness import clear_memory_cache
-from repro.tune.search import Trial
-from repro.tune.space import CategoricalDim, Space
-from repro.tune.study import (
+from repro.tune import (
     SCHEMA,
-    StudyJournal,
+    _fig4_analysis,
+    fig4_trials,
     render_tune_bench,
-    run_study,
-    trial_journal_key,
     validate_tune_bench,
 )
 
+COMMITTED = Path(__file__).resolve().parents[2] / "BENCH_tune.json"
 
-@pytest.fixture()
-def isolated_caches(tmp_path, monkeypatch):
-    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
-    monkeypatch.delenv("REPRO_CACHE", raising=False)
+
+@pytest.fixture(scope="module")
+def committed():
+    return json.loads(COMMITTED.read_text())
+
+
+def test_analysis_reproduces_committed_blocks(committed):
+    # Feeding the committed grid trials back through the analysis must
+    # give every committed fig4.<app> block, byte for byte.
+    for app, block in committed["fig4"].items():
+        trials = [t for t in committed["trials"] if t["app"] == app]
+        assert [t["index"] for t in trials] == list(range(len(trials)))
+        assert json.dumps(_fig4_analysis(app, trials), indent=2) == (
+            json.dumps(block, indent=2)
+        )
+
+
+def test_one_live_cell_matches_committed_trial(committed):
+    # The BFS optimum cell, simulated afresh (the suite's cache is
+    # empty), scores bit-equal to the committed trial.
     clear_memory_cache()
-    yield
-    clear_memory_cache()
-
-
-def tiny_space():
-    return Space(
-        dims=(
-            CategoricalDim("wait_time", choices=(1, 4, 16), ordered=True),
-        ),
-        base={
-            "app": "bfs",
-            "dataset": "hollywood-2009",
-            "machine": "daisy",
-            "n_gpus": 1,
-        },
+    (trial,) = fig4_trials("bfs", [(1 << 16, 4)], jobs=1)
+    want = next(
+        t for t in committed["trials"]
+        if t["app"] == "bfs"
+        and t["point"] == {"batch_size": 1 << 16, "wait_time": 4}
     )
+    assert trial["status"] == "ok"
+    assert trial["objective"] == 38.62478812059223 == want["objective"]
+    assert trial["per_rep"] == want["per_rep"]
+    assert trial["aux"] == want["aux"]
 
 
-class FakeOutcome:
-    status = "ok"
-    objective = 1.5
-    per_rep = [1.5]
-    wall_s = 0.01
-    simulations = 1
-    disk_hits = 0
-    repeat_hits = 0
-    aux = {"time_ms": 1.5}
-    error = ""
-
-
-def test_journal_replays_only_matching_identity(tmp_path):
-    path = str(tmp_path / "j.ndjson")
-    trial = Trial(0, {"wait_time": 1})
-    journal = StudyJournal(path, {"seed": 1})
-    journal.append("search", "k1", trial, FakeOutcome())
-    journal.close()
-
-    same = StudyJournal(path, {"seed": 1})
-    assert same.lookup("k1") is not None
-    assert same.lookup("k2") is None
-    assert same.replays == 1
-    same.close()
-
-    # A different study seed (or code version) must not replay.
-    different = StudyJournal(path, {"seed": 2})
-    assert different.lookup("k1") is None
-    different.close()
-
-
-def test_journal_key_is_searcher_agnostic_but_app_scoped():
-    space_a = tiny_space()
-    space_b = Space(
-        dims=space_a.dims, base={**space_a.base, "app": "pagerank"}
-    )
-    trial = Trial(0, {"wait_time": 1})
-    key_a = trial_journal_key(space_a, "makespan", trial)
-    # Same evaluation, different proposing trial index: same key.
-    assert key_a == trial_journal_key(space_a, "makespan", Trial(7, {"wait_time": 1}))
-    # Different app / objective / fidelity: different key.
-    assert key_a != trial_journal_key(space_b, "makespan", trial)
-    assert key_a != trial_journal_key(space_a, "composite", trial)
-    assert key_a != trial_journal_key(
-        space_a, "makespan", Trial(0, {"wait_time": 1}, reps=2)
-    )
-
-
-def test_journal_tolerates_truncated_tail(tmp_path):
-    path = str(tmp_path / "j.ndjson")
-    trial = Trial(0, {"wait_time": 1})
-    journal = StudyJournal(path, {"seed": 1})
-    journal.append("search", "k1", trial, FakeOutcome())
-    journal.close()
-    with open(path, "a") as fh:
-        fh.write('{"phase": "search", "key": "half-writ')  # crash mid-line
-    again = StudyJournal(path, {"seed": 1})
-    assert again.lookup("k1") is not None
-    again.close()
-
-
-def test_run_study_emits_valid_doc_and_resumes_for_free(
-    isolated_caches, tmp_path
-):
-    journal = str(tmp_path / "study.ndjson")
-    doc = run_study(
-        tiny_space(),
-        searcher="grid",
-        budget=3,
-        objective="makespan",
-        seed=2,
-        jobs=1,
-        journal_path=journal,
-    )
-    assert doc["schema"] == SCHEMA
-    assert validate_tune_bench(doc) == 3
-    assert doc["accounting"]["simulations"] == 3
-    assert doc["accounting"]["journal_replays"] == 0
-    assert doc["best"]["objective"] <= min(
-        t["objective"] for t in doc["trials"]
-    )
-    rendered = render_tune_bench(doc)
-    assert "evaluations saved" in rendered and "best:" in rendered
-
-    # Second run: every trial replays from the journal — the
-    # acceptance criterion's "zero re-evaluations".
-    resumed = run_study(
-        tiny_space(),
-        searcher="grid",
-        budget=3,
-        objective="makespan",
-        seed=2,
-        jobs=1,
-        journal_path=journal,
-    )
-    assert resumed["accounting"]["simulations"] == 0
-    assert resumed["accounting"]["journal_replays"] == 3
-    assert resumed["accounting"]["evaluations_saved"] >= 3
-    assert resumed["best"] == doc["best"]
-    # The journal file kept its single header + 3 trials (no rewrite).
-    lines = open(journal).read().splitlines()
-    assert len(lines) == 4
-
-
-def test_partial_journal_resumes_midway(isolated_caches, tmp_path):
-    journal = str(tmp_path / "study.ndjson")
-    full = run_study(
-        tiny_space(), searcher="grid", budget=3, objective="makespan",
-        seed=2, jobs=1, journal_path=journal,
-    )
-    # Drop the last journaled trial: simulate a study killed midway.
-    lines = open(journal).read().splitlines()
-    with open(journal, "w") as fh:
-        fh.write("\n".join(lines[:-1]) + "\n")
-    clear_memory_cache()
-    resumed = run_study(
-        tiny_space(), searcher="grid", budget=3, objective="makespan",
-        seed=2, jobs=1, journal_path=journal,
-    )
-    assert resumed["accounting"]["journal_replays"] == 2
-    # The missing cell is recomputed (from the disk cache if anything,
-    # but never replayed from the journal).
-    assert (
-        resumed["accounting"]["simulations"]
-        + resumed["accounting"]["disk_cache_hits"]
-    ) >= 1
-    assert resumed["best"] == full["best"]
-
-
-def test_cross_searcher_journal_sharing(isolated_caches, tmp_path):
-    # The journal keys on evaluation identity, not the proposing
-    # searcher: an evolutionary study over cells a grid study already
-    # swept re-evaluates nothing.  (This is how the fig4 preset's
-    # evolutionary phase rides the sweep's cache.)
-    journal = str(tmp_path / "shared.ndjson")
-    grid = run_study(
-        tiny_space(), searcher="grid", budget=3, objective="makespan",
-        seed=0, jobs=1, journal_path=journal,
-    )
-    assert grid["accounting"]["simulations"] == 3
-    evo = run_study(
-        tiny_space(), searcher="evolutionary", budget=3,
-        objective="makespan", seed=0, jobs=1, journal_path=journal,
-    )
-    assert evo["accounting"]["simulations"] == 0
-    assert evo["accounting"]["journal_replays"] == len(evo["trials"])
-    assert evo["best"]["objective"] == grid["best"]["objective"]
-
-
-def test_validate_rejects_malformed_docs(isolated_caches, tmp_path):
-    doc = run_study(
-        tiny_space(), searcher="grid", budget=3, objective="makespan",
-        seed=0, jobs=1,
-        journal_path=str(tmp_path / "j.ndjson"),
-    )
+def test_validate_rejects_malformed_docs(committed):
+    assert committed["schema"] == SCHEMA
+    assert validate_tune_bench(committed) == len(committed["trials"])
+    assert "grid optimum" in render_tune_bench(committed)
     for mutate in (
-        lambda d: d.update(schema="repro-tune/0"),
-        lambda d: d.update(mode="mystery"),
+        lambda d: d.update(schema="repro-tune/1"),
         lambda d: d.pop("accounting"),
+        lambda d: d["accounting"].update(simulations=-1),
         lambda d: d.update(trials=[]),
-        lambda d: d.update(best=None),
         lambda d: d["trials"][0].pop("point"),
+        lambda d: d["trials"][0].update(status="mystery"),
+        lambda d: d["trials"][0].pop("objective"),
+        lambda d: d.update(fig4={}),
+        lambda d: d["fig4"]["bfs"].pop("grid_best"),
+        lambda d: d["fig4"]["bfs"].update(sensitivity=[]),
     ):
-        broken = json.loads(json.dumps(doc))
+        broken = json.loads(json.dumps(committed))
         mutate(broken)
         with pytest.raises(ValueError):
             validate_tune_bench(broken)
