@@ -66,8 +66,8 @@ def wait_time_for(app: str) -> int:
 
 
 #: The pluggable DES event-queue variants (:mod:`repro.sim.equeue`
-#: reads its registry keys from here, keeping one source of truth for
-#: overlay validation and the engine selector).
+#: reads its registry keys, and validates ``REPRO_ENGINE_QUEUE``,
+#: from here).
 ENGINE_QUEUES = ("heap", "calendar")
 
 #: The partitioned-engine drivers (:mod:`repro.runtime.partitioned`).
@@ -79,7 +79,6 @@ def validate_tuning(
     batch_size: "int | None" = None,
     wait_time: "int | None" = None,
     fetch_size: "int | None" = None,
-    engine_queue: "str | None" = None,
     partitions: "int | None" = None,
     pdes_driver: "str | None" = None,
 ) -> None:
@@ -103,10 +102,6 @@ def validate_tuning(
         not isinstance(fetch_size, int) or fetch_size < 1
     ):
         raise ConfigError(f"fetch_size must be an int >= 1, got {fetch_size!r}")
-    if engine_queue is not None and engine_queue not in ENGINE_QUEUES:
-        raise ConfigError(
-            f"unknown engine_queue {engine_queue!r}; known: {ENGINE_QUEUES}"
-        )
     if partitions is not None and (
         not isinstance(partitions, int) or partitions < 1
     ):

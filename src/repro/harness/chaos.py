@@ -42,6 +42,7 @@ from repro.apps.validation import (
 from repro.config import daisy
 from repro.errors import SimulationError
 from repro.faults import CrashEvent, FaultPlan
+from repro.frameworks.atos import AtosDriver
 from repro.gpu.kernel import KernelStrategy
 from repro.graph import bfs_grow_partition, largest_component_vertex, rmat
 from repro.metrics.counters import RunResult, fault_summary
@@ -259,8 +260,9 @@ def _partitioned(
     kernel, priority = CHAOS_VARIANTS[spec.variant]
     return run_partitioned(
         spec.app, graph, partition, daisy(spec.n_gpus),
+        atos=AtosDriver(kernel=kernel, priority=priority),
         n_partitions=n_partitions, driver=driver, source=source,
-        epsilon=CHAOS_EPSILON, kernel=kernel, priority=priority, **kwargs,
+        epsilon=CHAOS_EPSILON, **kwargs,
     )
 
 
@@ -296,12 +298,13 @@ def run_chaos_cell(spec: ChaosSpec) -> ChaosCell:
                 checkpoints = list(executor.recovery.checkpoint_digests)
         else:
             result = _partitioned(
-                spec, inputs, spec.n_partitions, stats=stats,
+                spec, inputs, spec.n_partitions,
                 checkpoint_every=CHECKPOINT_EVERY, kill_plan=spec.kill,
             )
             time_ms, output, counters = (
                 result.time_ms, result.output, result.counters
             )
+            stats = WindowStats(**result.host_stats)
             serial = _partitioned(spec, inputs, 1, driver="local")
             digest_ok = result.digest() == serial.digest()
     except SimulationError as exc:
@@ -512,18 +515,16 @@ def verify_inert(seed: int = 0, apps: tuple[str, ...] = ("bfs",)) -> bool:
                 )
         inputs = _inputs(spec)
         plain = _partitioned(spec, inputs, 2).digest()
-        stats = WindowStats()
-        checkpointed = _partitioned(
-            spec, inputs, 2, stats=stats, checkpoint_every=2
-        ).digest()
-        if plain != checkpointed:
+        checkpointed = _partitioned(spec, inputs, 2, checkpoint_every=2)
+        if plain != checkpointed.digest():
             raise AssertionError(
                 f"checkpointing perturbed the {app} run: "
-                f"{plain[:16]} != {checkpointed[:16]}"
+                f"{plain[:16]} != {checkpointed.digest()[:16]}"
             )
-        if stats.checkpoints_taken == 0:
+        stats = checkpointed.host_stats
+        if stats["checkpoints_taken"] == 0:
             raise AssertionError(
                 f"checkpointed {app} run took no checkpoints "
-                f"({stats.windows} windows)"
+                f"({stats['windows']} windows)"
             )
     return True

@@ -353,8 +353,8 @@ def _compute(
     Overlay routing: executor knobs become driver overrides (Atos
     frameworks only — the baselines do not expose them, and silently
     ignoring a knob would mis-measure a sweep); ``partitions >= 2``
-    routes the cell through the windowed PDES coordinator and attaches
-    its :class:`WindowStats` as ``host_stats``.
+    routes the cell through the windowed PDES coordinator, whose
+    window accounting rides along as ``host_stats``.
     """
     if app not in ("bfs", "pagerank"):
         raise ConfigurationError(f"unknown app {app!r}")
@@ -370,31 +370,23 @@ def _compute(
             f"(got {framework!r}): baseline drivers expose no "
             f"batch/wait knobs and no partitioned execution"
         )
-    if exec_overrides and not partitioned:
+    if exec_overrides:
         driver.overrides.update(exec_overrides)
     if partitioned:
         from repro.runtime.partitioned import run_partitioned
-        from repro.sim.partition import WindowStats
 
-        stats = WindowStats()
         result = run_partitioned(
             app,
             graph,
             partition,
             machine,
+            atos=driver,
             n_partitions=partitions,
             driver=overlay.pdes_driver or "local",
             source=bfs_source(dataset) if app == "bfs" else 0,
             epsilon=PR_EPSILON,
             dataset=dataset,
-            kernel=driver.kernel,
-            priority=driver.priority,
-            variant_name=driver.name,
-            base_config=driver.base_config,
-            config_overrides=exec_overrides or None,
-            stats=stats,
         )
-        result.host_stats = stats.as_dict()
     elif app == "bfs":
         result = driver.run_bfs(
             graph, partition, bfs_source(dataset), machine,

@@ -12,12 +12,7 @@ from repro.runtime.priority_queue import (
     DistributedPriorityQueues,
     PEPriorityQueues,
 )
-from repro.runtime.partitioned import (
-    LocalPartitionedEngine,
-    PartitionReplica,
-    PooledPartitionedEngine,
-    run_partitioned,
-)
+from repro.runtime.partitioned import PartitionReplica, run_partitioned
 from repro.runtime.termination import (
     InFlightLedger,
     TrackerSnapshot,
@@ -30,8 +25,6 @@ __all__ = [
     "TrackerSnapshot",
     "WindowedWorkTracker",
     "PartitionReplica",
-    "LocalPartitionedEngine",
-    "PooledPartitionedEngine",
     "run_partitioned",
     "DistributedQueues",
     "PEQueues",

@@ -31,36 +31,37 @@ transit, and the serial termination time is the global latest delta
 (the serial zeroing ``remove`` is, provably, the latest token movement
 anywhere).
 
-Two drivers share the one coordinator:
+One engine body, :func:`run_partitioned`, drives every run through the
+one coordinator; the driver name only decides how the hosts are built:
 
-* :class:`LocalPartitionedEngine` — replicas stepped in-process, in
+* ``local`` — :class:`PartitionReplica` objects stepped in-process, in
   partition order.  The correctness spine: deterministic, debuggable,
   and the digest reference for the pooled driver.
-* :class:`PooledPartitionedEngine` — one worker process per partition
-  (fork-preferred, mirroring :mod:`repro.harness.pool`'s lifecycle and
-  crash isolation), windows exchanged as pickled batches over pipes.
+* ``pooled`` — one worker process per partition (fork-preferred,
+  mirroring :mod:`repro.harness.pool`'s lifecycle and crash isolation),
+  each serving its replica over a pipe; windows travel as pickled
+  batches.
 
 Both produce **bit-identical** :meth:`RunResult.digest` values to the
 serial engine — the partitioned-golden test suite pins that across
-apps × fault plans × partition counts.
+apps × fault plans × partition counts.  A run that collapses to one
+partition (a 1-GPU machine, or a crash-plan downgrade) is the literal
+serial executor, in-process, on either driver.
 
 Crash-plan runs (fail-stop recovery) are downgraded to one partition
 with a loud :class:`RuntimeWarning`: the recovery coordinator's
 quiesce barriers are global-synchronous (zero lookahead), so
 distributing them buys nothing and the collapse keeps digest equality
-trivially exact.  The downgrade lives in the engines (not a silent
-entrypoint rewrite), so callers constructing engines directly get the
-same documented behavior.
+trivially exact.
 
-Real (OS-level) worker loss is survivable: the pooled driver raises
-typed :class:`~repro.errors.PartitionWorkerLost` from its pipe
-proxies, supplies the coordinator a ``recover_host`` callback that
-spawns a replacement process, and the coordinator replays the lost
-partition's window journal into it (see
-:mod:`repro.sim.partition`).  ``checkpoint_every`` enables barrier
-checkpoints (replica snapshots via the ``snapshot`` worker RPC) that
-verify the replay; :class:`WorkerKillPlan` injects a deterministic
-kill for the fault grid (``repro chaos``).
+Real (OS-level) worker loss is survivable: the pooled driver's pipe
+proxies raise typed :class:`~repro.errors.PartitionWorkerLost`, the
+coordinator gets a ``recover_host`` callback that spawns a replacement
+process, and it replays the lost partition's window journal into it
+(see :mod:`repro.sim.partition`).  ``checkpoint_every`` enables
+barrier checkpoints (replica snapshots via the ``snapshot`` worker
+RPC) that verify the replay; :class:`WorkerKillPlan` injects a
+deterministic kill for the fault grid (``repro chaos``).
 """
 
 from __future__ import annotations
@@ -70,20 +71,20 @@ import time
 import traceback
 import warnings
 from dataclasses import dataclass
-from typing import Any, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Optional, Sequence
 
 import numpy as np
 
-from repro.config import MachineConfig
+from repro.config import PDES_DRIVERS, MachineConfig
 from repro.errors import (
     ConfigurationError,
     PartitionWorkerLost,
     SimulationError,
 )
 from repro.faults.transport import _AckPacket, _DataPacket
-from repro.gpu.kernel import KernelStrategy
 from repro.graph.csr import CSRGraph
 from repro.graph.partition import Partition
+from repro.interconnect.topology import Topology
 from repro.interconnect.transfer import Message
 from repro.metrics.counters import Counters, RunResult
 from repro.runtime.executor import AtosConfig, AtosExecutor
@@ -99,15 +100,16 @@ from repro.sim.partition import (
 )
 from repro.telemetry.spans import Telemetry
 
+if TYPE_CHECKING:
+    from repro.frameworks.atos import AtosDriver
+
 __all__ = [
     "PartitionedRunSpec",
     "PartitionBridge",
     "PartitionReplica",
     "PartitionFinal",
     "WorkerKillPlan",
-    "LocalPartitionedEngine",
-    "PooledPartitionedEngine",
-    "PARTITION_DRIVERS",
+    "MAX_RESPAWNS",
     "run_partitioned",
 ]
 
@@ -205,7 +207,7 @@ class PartitionReplica(AtosExecutor):
     """A full executor replica owning a slice of the ranks.
 
     Implements the :class:`~repro.sim.partition.PartitionHost`
-    protocol: seed/start, step one safe window, finalize.  The
+    protocol: seed/start, begin and end one safe window, finalize.  The
     windowed tracker substitutes for the serial one (local token
     balances may go negative; termination is the coordinator's call),
     and the partition bridge turns foreign-rank fabric sends into
@@ -224,22 +226,23 @@ class PartitionReplica(AtosExecutor):
             raise ConfigurationError("a partition must own at least one rank")
         super().__init__(machine, app, config)
         if self.fault_plan is not None and self.fault_plan.crashes:
-            # The engines downgrade crash plans to one partition before
-            # any replica is built (recovery barriers are globally
+            # run_partitioned downgrades crash plans to one partition
+            # before any replica is built (recovery barriers are globally
             # synchronous — a per-partition quiesce would be unsound),
             # so this only fires on direct construction.  Warn rather
             # than raise: the replica still runs, but rank recovery
             # inside one partition of many is unsupported territory.
             warnings.warn(
                 "crash plans are meant to run single-partition "
-                "(recovery barriers are globally synchronous); the "
-                "partitioned engines downgrade them — a directly-built "
+                "(recovery barriers are globally synchronous); "
+                "run_partitioned downgrades them — a directly-built "
                 "multi-partition replica with a crash plan is unsound",
                 RuntimeWarning,
                 stacklevel=2,
             )
         self.bridge = PartitionBridge(self.owned)
         self.fabric.partition_bridge = self.bridge
+        self._window: tuple[float, Sequence[Export]] = (0.0, ())
 
     # ------------------------------------------------- executor overrides
     def _make_tracker(self) -> WorkTracker:
@@ -252,9 +255,14 @@ class PartitionReplica(AtosExecutor):
     def start(self) -> int:
         return self.prepare()
 
-    def step_window(
+    def begin_window(
         self, horizon: float, imports: Sequence[Export]
-    ) -> WindowReport:
+    ) -> None:
+        # In-process, the window runs when its report is asked for.
+        self._window = (horizon, imports)
+
+    def end_window(self) -> WindowReport:
+        horizon, imports = self._window
         t0 = time.perf_counter()
         env = self.env
         if imports:
@@ -363,12 +371,6 @@ class PartitionReplica(AtosExecutor):
 
 
 # ----------------------------------------------------------------- assembly
-def _control_extra_latency(spec: PartitionedRunSpec) -> float:
-    if spec.config.control_path == "cpu":
-        return spec.machine.cost.cpu_control_path_latency
-    return 0.0
-
-
 def _assemble(
     spec: PartitionedRunSpec,
     parts: list[list[int]],
@@ -463,107 +465,7 @@ def _merge_telemetry(
     return hub
 
 
-# ------------------------------------------------------------------ drivers
-def _downgrade_crash_plan(spec: PartitionedRunSpec, n_partitions: int) -> int:
-    """Crash plans collapse to one partition, loudly (see module doc)."""
-    plan = spec.config.faults
-    if (
-        n_partitions > 1
-        and plan is not None
-        and plan.active
-        and plan.crashes
-    ):
-        warnings.warn(
-            "crash plans run single-partition (recovery barriers are "
-            f"globally synchronous); downgrading {n_partitions} "
-            "partitions to 1 — digests are unchanged by construction",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-        return 1
-    return n_partitions
-
-
-class LocalPartitionedEngine:
-    """In-process windowed execution — the correctness spine."""
-
-    name = "local"
-
-    def __init__(
-        self,
-        spec: PartitionedRunSpec,
-        n_partitions: int,
-        *,
-        checkpoint_every: Optional[int] = None,
-        kill_plan: Optional[WorkerKillPlan] = None,
-        max_respawns: int = 3,
-    ):
-        if kill_plan is not None:
-            raise ConfigurationError(
-                "kill plans need real worker processes; use the "
-                "'pooled' driver"
-            )
-        self.spec = spec
-        self.n_partitions = n_partitions
-        self.checkpoint_every = checkpoint_every
-        self.max_respawns = max_respawns
-        self.stats = WindowStats()
-
-    def run(self) -> RunResult:
-        spec = self.spec
-        self.n_partitions = _downgrade_crash_plan(spec, self.n_partitions)
-        if self.n_partitions == 1:
-            return _run_serial(spec)
-        parts = partition_ranks(spec.machine.n_gpus, self.n_partitions)
-        replicas = [
-            PartitionReplica(spec.machine, _build_app(spec), spec.config, owned)
-            for owned in parts
-        ]
-        lookahead = lookahead_matrix(
-            replicas[0].fabric.topology, parts,
-            extra_latency=_control_extra_latency(spec),
-        )
-        horizon_history: Optional[list[list[float]]] = (
-            [] if replicas[0].telemetry is not None else None
-        )
-
-        def on_window(_w: int, horizons: list, _reports: list) -> None:
-            if horizon_history is not None:
-                horizon_history.append(list(horizons))
-
-        coordinator = WindowCoordinator(
-            replicas, lookahead, on_window=on_window,
-            checkpoint_every=self.checkpoint_every,
-        )
-        coordinator.set_rank_owners(parts)
-        t_done = coordinator.run()
-        self.stats = coordinator.stats
-        finals = [replica.finalize(t_done) for replica in replicas]
-        return _assemble(
-            spec, parts, finals, coordinator.stats, horizon_history,
-            self.name,
-        )
-
-
-def _run_serial(spec: PartitionedRunSpec) -> RunResult:
-    """P=1: the literal serial executor (no bridge, no windows)."""
-    app = _build_app(spec)
-    executor = AtosExecutor(spec.machine, app, spec.config)
-    makespan, counters = executor.run()
-    return RunResult(
-        framework=spec.framework_name,
-        app=spec.app_name,
-        dataset=spec.dataset,
-        n_gpus=spec.machine.n_gpus,
-        time_ms=makespan / 1000.0,
-        counters=counters,
-        output=app.result(),
-        timeline=executor.fabric.timeline,
-        telemetry=executor.telemetry,
-    )
-
-
-# ------------------------------------------------------------- pooled driver
+# ------------------------------------------------------------ worker process
 @dataclass(frozen=True)
 class WorkerKillPlan:
     """Deterministic fail-stop injection for the pooled driver.
@@ -571,11 +473,11 @@ class WorkerKillPlan:
     The worker spawned for ``partition`` counts the ``step`` requests
     it receives and hard-exits (``os._exit`` — no cleanup, no
     good-bye, a faithful SIGKILL stand-in) immediately before
-    executing its ``window``-th one (0-based).  ``P=1`` serial workers
-    exit before running at all.  Replacement workers never inherit the
-    plan, so a killed run terminates after exactly one injected loss.
-    Used by the ``repro chaos`` fault grid to pin digest equality
-    under real process death.
+    executing its ``window``-th one (0-based).  Replacement workers
+    never inherit the plan, so a killed run terminates after exactly
+    one injected loss.  Needs the pooled driver and at least two
+    partitions.  Used by the ``repro chaos`` fault grid to pin digest
+    equality under real process death.
     """
 
     partition: int
@@ -586,8 +488,12 @@ class WorkerKillPlan:
 #: crash in post-mortems (anything nonzero surfaces the same way).
 _KILL_EXITCODE = 17
 
+#: Replacement workers the coordinator may spawn per partition before
+#: a worker loss becomes fatal.
+MAX_RESPAWNS = 3
 
-def _partition_worker(spec, owned, serial, conn, kill_at_step=None) -> None:
+
+def _partition_worker(spec, owned, conn, kill_at_step=None) -> None:
     """Worker main: build the replica, serve coordinator RPCs.
 
     ``kill_at_step`` (from a :class:`WorkerKillPlan`) hard-exits the
@@ -596,14 +502,6 @@ def _partition_worker(spec, owned, serial, conn, kill_at_step=None) -> None:
     accepted a window and never reported.
     """
     try:
-        if serial:
-            if kill_at_step is not None:
-                conn.close()
-                os._exit(_KILL_EXITCODE)
-            result = _run_serial(spec)
-            conn.send(("ok", result))
-            conn.close()
-            return
         replica = PartitionReplica(spec.machine, _build_app(spec),
                                    spec.config, owned)
         steps = 0
@@ -617,7 +515,8 @@ def _partition_worker(spec, owned, serial, conn, kill_at_step=None) -> None:
                 if kill_at_step is not None and steps >= kill_at_step:
                     conn.close()
                     os._exit(_KILL_EXITCODE)
-                conn.send(("ok", replica.step_window(request[1], request[2])))
+                replica.begin_window(request[1], request[2])
+                conn.send(("ok", replica.end_window()))
             elif op == "snapshot":
                 conn.send(("ok", replica.snapshot_state(request[1])))
             elif op == "finalize":
@@ -641,64 +540,58 @@ def _partition_worker(spec, owned, serial, conn, kill_at_step=None) -> None:
 
 
 class _WorkerHost:
-    """Pipe proxy implementing the PartitionHost protocol."""
+    """Pipe proxy implementing the PartitionHost protocol.
+
+    ``begin_window`` only sends the window, so the coordinator's
+    fan-out of every begin before any end lets the worker processes
+    execute their windows concurrently — this pair is the entire
+    speedup.
+    """
 
     def __init__(self, index: int, process, conn):
         self.index = index
         self.process = process
         self.conn = conn
 
-    def _call(self, *request):
-        try:
-            self.conn.send(request)
-            reply = self.conn.recv()
-        except (EOFError, BrokenPipeError, OSError) as exc:
-            raise PartitionWorkerLost(
-                self.index, exitcode=self.process.exitcode
-            ) from exc
-        if reply[0] == "error":
-            raise SimulationError(
-                f"partition worker {self.index} failed: {reply[1]}\n"
-                f"{reply[2]}"
-            )
-        return reply[1]
+    def _lost(self) -> PartitionWorkerLost:
+        return PartitionWorkerLost(self.index, exitcode=self.process.exitcode)
+
+    def begin_window(self, horizon, imports) -> None:
+        self._send("step", horizon, list(imports))
+
+    def end_window(self) -> WindowReport:
+        return self._recv()
 
     def start(self) -> int:
         return self._call("start")
 
-    def step_window(self, horizon, imports) -> WindowReport:
-        return self._call("step", horizon, list(imports))
-
     def snapshot_state(self, epoch: int) -> Any:
         return self._call("snapshot", epoch)
 
-    # Split-phase stepping: the coordinator issues every partition's
-    # begin before gathering any end, so the worker processes execute
-    # their windows concurrently — this pair is the entire speedup.
-    def begin_window(self, horizon, imports) -> None:
-        try:
-            self.conn.send(("step", horizon, list(imports)))
-        except (BrokenPipeError, OSError) as exc:
-            raise PartitionWorkerLost(
-                self.index, exitcode=self.process.exitcode
-            ) from exc
+    def finalize(self, t_done) -> PartitionFinal:
+        return self._call("finalize", t_done)
 
-    def end_window(self) -> WindowReport:
+    def _call(self, *request) -> Any:
+        self._send(*request)
+        return self._recv()
+
+    def _send(self, *request) -> None:
+        try:
+            self.conn.send(request)
+        except (BrokenPipeError, OSError) as exc:
+            raise self._lost() from exc
+
+    def _recv(self) -> Any:
         try:
             reply = self.conn.recv()
         except (EOFError, BrokenPipeError, OSError) as exc:
-            raise PartitionWorkerLost(
-                self.index, exitcode=self.process.exitcode
-            ) from exc
+            raise self._lost() from exc
         if reply[0] == "error":
             raise SimulationError(
                 f"partition worker {self.index} failed: {reply[1]}\n"
                 f"{reply[2]}"
             )
         return reply[1]
-
-    def finalize(self, t_done) -> PartitionFinal:
-        return self._call("finalize", t_done)
 
     def close(self, timeout: float = 30.0) -> None:
         """Best-effort shutdown: polite exit, close, join, then kill.
@@ -721,173 +614,19 @@ class _WorkerHost:
         _stop_process(self.process, grace_s=timeout)
 
 
-class PooledPartitionedEngine:
-    """One simulation across N worker processes.
-
-    The coordinator code is byte-for-byte the local driver's (the
-    hosts are pipe proxies), so pooled output equals local output
-    equals serial output; what the processes buy is wall-clock — each
-    partition's window executes on its own core, and the coordinator's
-    pickled export batches are the only cross-process traffic.
-    """
-
-    name = "pooled"
-
-    def __init__(
-        self,
-        spec: PartitionedRunSpec,
-        n_partitions: int,
-        *,
-        checkpoint_every: Optional[int] = None,
-        kill_plan: Optional[WorkerKillPlan] = None,
-        max_respawns: int = 3,
-    ):
-        self.spec = spec
-        self.n_partitions = n_partitions
-        self.checkpoint_every = checkpoint_every
-        self.kill_plan = kill_plan
-        self.max_respawns = max_respawns
-        self.stats = WindowStats()
-
-    def _spawn(
-        self, ctx, index: int, owned: Sequence[int],
-        serial: bool = False, kill_at_step: Optional[int] = None,
-    ) -> _WorkerHost:
-        parent, child = ctx.Pipe()
-        proc = ctx.Process(
-            target=_partition_worker,
-            args=(self.spec, list(owned), serial, child, kill_at_step),
-            daemon=True,
-        )
-        proc.start()
-        child.close()
-        return _WorkerHost(index, proc, parent)
-
-    def _run_one_worker(self, ctx) -> RunResult:
-        """P=1: the serial path through a real worker process.
-
-        A lost worker is survivable here too — the whole run is its
-        own journal, so recovery is simply a respawn (sans kill plan)
-        and rerun, bounded by the respawn budget.
-        """
-        from repro.harness.pool import _stop_process
-
-        kill = self.kill_plan
-        attempt = 0
-        while True:
-            host = self._spawn(
-                ctx, 0, [0], serial=True,
-                kill_at_step=1 if kill is not None else None,
-            )
-            try:
-                try:
-                    result = host.conn.recv()
-                except (EOFError, BrokenPipeError, OSError) as exc:
-                    if attempt >= self.max_respawns:
-                        raise PartitionWorkerLost(
-                            0, exitcode=host.process.exitcode
-                        ) from exc
-                    attempt += 1
-                    kill = None
-                    self.stats.workers_respawned += 1
-                    continue
-                if result[0] == "error":
-                    raise SimulationError(
-                        f"serial partition worker failed: {result[1]}\n"
-                        f"{result[2]}"
-                    )
-                return result[1]
-            finally:
-                try:
-                    host.conn.close()
-                except OSError:  # pragma: no cover - already closed
-                    pass
-                _stop_process(host.process, grace_s=30)
-
-    def run(self) -> RunResult:
-        from repro.harness.pool import _mp_context
-
-        spec = self.spec
-        ctx = _mp_context()
-        self.n_partitions = _downgrade_crash_plan(spec, self.n_partitions)
-        if self.n_partitions == 1:
-            # Still one worker process: the serial path, but through
-            # the full pickle/process lifecycle (exercises the same
-            # plumbing grids rely on for crash-plan collapses).
-            return self._run_one_worker(ctx)
-
-        parts = partition_ranks(spec.machine.n_gpus, self.n_partitions)
-        # Topology/lookahead derived parent-side from a throwaway
-        # instance (pure config, no simulation state).
-        from repro.interconnect.topology import Topology
-
-        lookahead = lookahead_matrix(
-            Topology(spec.machine), parts,
-            extra_latency=_control_extra_latency(spec),
-        )
-        hosts: list[_WorkerHost] = []
-        try:
-            for index, owned in enumerate(parts):
-                kill_at = None
-                if (
-                    self.kill_plan is not None
-                    and self.kill_plan.partition == index
-                ):
-                    kill_at = self.kill_plan.window + 1
-                hosts.append(
-                    self._spawn(ctx, index, owned, kill_at_step=kill_at)
-                )
-
-            def recover_host(p: int) -> _WorkerHost:
-                # The dead worker's pipe may still be open parent-side;
-                # reap it before spawning the replacement (which never
-                # inherits a kill plan — one injected loss per run).
-                hosts[p].close(timeout=5.0)
-                fresh = self._spawn(ctx, p, parts[p])
-                hosts[p] = fresh
-                return fresh
-
-            horizon_history: list[list[float]] = []
-
-            def on_window(_w, horizons, _reports) -> None:
-                horizon_history.append(list(horizons))
-
-            coordinator = WindowCoordinator(
-                hosts, lookahead, on_window=on_window,
-                checkpoint_every=self.checkpoint_every,
-                recover_host=recover_host,
-                max_respawns=self.max_respawns,
-            )
-            coordinator.set_rank_owners(parts)
-            t_done = coordinator.run()
-            self.stats = coordinator.stats
-            finals = []
-            for p in range(len(hosts)):
-                try:
-                    finals.append(hosts[p].finalize(t_done))
-                except PartitionWorkerLost as lost:
-                    # Lost between its last window and finalize; the
-                    # coordinator replays it to the end and retries.
-                    host = coordinator.revive(p, lost)
-                    finals.append(host.finalize(t_done))
-            keep_history = (
-                horizon_history
-                if any(f.telemetry is not None for f in finals)
-                else None
-            )
-            return _assemble(
-                spec, parts, finals, coordinator.stats, keep_history,
-                self.name,
-            )
-        finally:
-            for host in hosts:
-                host.close()
-
-
-PARTITION_DRIVERS = {
-    "local": LocalPartitionedEngine,
-    "pooled": PooledPartitionedEngine,
-}
+def _spawn_worker(
+    ctx, spec: PartitionedRunSpec, index: int, owned: Sequence[int],
+    kill_at_step: Optional[int] = None,
+) -> _WorkerHost:
+    parent, child = ctx.Pipe()
+    proc = ctx.Process(
+        target=_partition_worker,
+        args=(spec, list(owned), child, kill_at_step),
+        daemon=True,
+    )
+    proc.start()
+    child.close()
+    return _WorkerHost(index, proc, parent)
 
 
 # ---------------------------------------------------------------- entrypoint
@@ -897,51 +636,71 @@ def run_partitioned(
     partition: Partition,
     machine: MachineConfig,
     *,
+    atos: Optional[AtosDriver] = None,
     n_partitions: int = 2,
     driver: str = "local",
     source: int = 0,
     alpha: float = 0.85,
     epsilon: float = 1e-4,
     dataset: str = "",
-    kernel: KernelStrategy = KernelStrategy.PERSISTENT,
-    priority: bool = False,
-    variant_name: Optional[str] = None,
-    base_config: Optional[AtosConfig] = None,
-    stats: Optional[WindowStats] = None,
     checkpoint_every: Optional[int] = None,
     kill_plan: Optional[WorkerKillPlan] = None,
-    max_respawns: int = 3,
-    config_overrides: Optional[dict] = None,
 ) -> RunResult:
     """Run one application partitioned across ``n_partitions`` loops.
 
-    Mirrors :class:`repro.frameworks.atos.AtosDriver` field-for-field
-    (framework name, per-app config derivation), so the result digest
-    is directly comparable to a serial run of the same cell.  Crash
-    plans downgrade to one partition with a RuntimeWarning (the
-    engines own that decision — see module docstring); ``stats`` (when
-    passed) receives the coordinator's window accounting, including
-    the resilience counts.  ``checkpoint_every`` enables window-barrier
-    checkpoints, ``kill_plan`` injects one deterministic worker kill
-    (pooled driver only), and ``max_respawns`` bounds replacement
-    workers per partition.
+    ``atos`` (default: a plain :class:`~repro.frameworks.atos.AtosDriver`)
+    supplies the framework name and the per-app config, so the result
+    digest is directly comparable to ``atos``'s serial run of the same
+    cell.  ``driver`` names how partitions are hosted (see module
+    docstring); crash plans downgrade to one partition with a
+    RuntimeWarning.  ``checkpoint_every`` enables window-barrier
+    checkpoints and ``kill_plan`` injects one deterministic worker kill
+    (pooled driver, two partitions or more).  The coordinator's window
+    accounting, resilience counts included, is attached as
+    ``result.host_stats`` (:meth:`WindowStats.as_dict`; all zero when
+    the run collapses to one partition).
     """
     from repro.frameworks.atos import AtosDriver
 
-    if driver not in PARTITION_DRIVERS:
+    if driver not in PDES_DRIVERS:
         raise ConfigurationError(
-            f"unknown partition driver {driver!r}; "
-            f"known: {sorted(PARTITION_DRIVERS)}"
+            f"unknown partition driver {driver!r}; known: {PDES_DRIVERS}"
         )
     if app not in ("bfs", "pagerank"):
         raise ConfigurationError(f"unknown app {app!r}")
-    atos = AtosDriver(
-        kernel=kernel, priority=priority, variant_name=variant_name,
-        base_config=base_config or AtosConfig(),
-        overrides=config_overrides,
-    )
+    if atos is None:
+        atos = AtosDriver()
     config = atos._config(app, machine)
     n_partitions = min(n_partitions, machine.n_gpus)
+    plan = config.faults
+    if n_partitions > 1 and plan is not None and plan.active and plan.crashes:
+        warnings.warn(
+            "crash plans run single-partition (recovery barriers are "
+            f"globally synchronous); downgrading {n_partitions} "
+            "partitions to 1 — digests are unchanged by construction",
+            RuntimeWarning,
+            stacklevel=2,
+        )
+        n_partitions = 1
+    if kill_plan is not None and (driver != "pooled" or n_partitions < 2):
+        raise ConfigurationError(
+            "kill plans need real worker processes; use the 'pooled' "
+            "driver with at least 2 partitions"
+        )
+    if n_partitions == 1:
+        # The serial executor itself: no bridge, no windows, no worker.
+        if app == "bfs":
+            result = atos.run_bfs(
+                graph, partition, source, machine, dataset=dataset
+            )
+        else:
+            result = atos.run_pagerank(
+                graph, partition, machine, alpha=alpha, epsilon=epsilon,
+                dataset=dataset,
+            )
+        result.host_stats = WindowStats().as_dict()
+        return result
+
     spec = PartitionedRunSpec(
         app_name=app,
         graph=graph,
@@ -954,21 +713,67 @@ def run_partitioned(
         alpha=alpha,
         epsilon=epsilon,
     )
-    engine = PARTITION_DRIVERS[driver](
-        spec, n_partitions,
-        checkpoint_every=checkpoint_every,
-        kill_plan=kill_plan,
-        max_respawns=max_respawns,
+    parts = partition_ranks(machine.n_gpus, n_partitions)
+    extra = (
+        machine.cost.cpu_control_path_latency
+        if config.control_path == "cpu" else 0.0
     )
-    result = engine.run()
-    if stats is not None:
-        stats.windows = engine.stats.windows
-        stats.total_exports = engine.stats.total_exports
-        stats.total_events = engine.stats.total_events
-        stats.idle_partition_windows = engine.stats.idle_partition_windows
-        stats.critical_wall_s = engine.stats.critical_wall_s
-        stats.busy_wall_s = engine.stats.busy_wall_s
-        stats.checkpoints_taken = engine.stats.checkpoints_taken
-        stats.windows_replayed = engine.stats.windows_replayed
-        stats.workers_respawned = engine.stats.workers_respawned
+    lookahead = lookahead_matrix(Topology(machine), parts, extra)
+    workers: list[_WorkerHost] = []
+    recover_host = None
+    try:
+        if driver == "local":
+            hosts: list[Any] = [
+                PartitionReplica(machine, _build_app(spec), config, owned)
+                for owned in parts
+            ]
+        else:
+            from repro.harness.pool import _mp_context
+
+            ctx = _mp_context()
+            for index, owned in enumerate(parts):
+                kill_at = None
+                if kill_plan is not None and kill_plan.partition == index:
+                    kill_at = kill_plan.window + 1
+                workers.append(
+                    _spawn_worker(ctx, spec, index, owned, kill_at)
+                )
+            hosts = workers
+
+            def recover_host(p: int) -> _WorkerHost:
+                # The dead worker's pipe may still be open parent-side;
+                # reap it before spawning the replacement (which never
+                # inherits a kill plan — one injected loss per run).
+                workers[p].close(timeout=5.0)
+                workers[p] = _spawn_worker(ctx, spec, p, parts[p])
+                return workers[p]
+
+        horizon_history: list[list[float]] = []
+
+        def on_window(_w: int, horizons: list, _reports: list) -> None:
+            horizon_history.append(list(horizons))
+
+        coordinator = WindowCoordinator(
+            hosts, lookahead, on_window=on_window,
+            checkpoint_every=checkpoint_every,
+            recover_host=recover_host,
+            max_respawns=MAX_RESPAWNS,
+        )
+        coordinator.set_rank_owners(parts)
+        t_done = coordinator.run()
+        finals = []
+        for p in range(len(parts)):
+            try:
+                finals.append(coordinator.hosts[p].finalize(t_done))
+            except PartitionWorkerLost as lost:
+                # Lost between its last window and finalize; the
+                # coordinator replays it to the end and retries.
+                finals.append(coordinator.revive(p, lost).finalize(t_done))
+    finally:
+        for worker in workers:
+            worker.close()
+    result = _assemble(
+        spec, parts, finals, coordinator.stats, horizon_history, driver
+    )
+    result.host_stats = coordinator.stats.as_dict()
     return result

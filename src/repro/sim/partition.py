@@ -26,11 +26,13 @@ the sender's clock) plus their new frontier — the frontier exchange is
 exactly a null-message broadcast, advancing neighbors even when no
 real event crossed.
 
-The module is engine-agnostic: a :class:`PartitionHost` is anything
-that can inject imports, run to a horizon, and report.  The runtime's
-in-process replica and the multiprocessing worker proxy both implement
-it, so the :class:`WindowCoordinator` is *identical code* for the
-local and pooled drivers — local/pooled digest equality holds by
+The module is engine-agnostic: a :class:`PartitionHost` takes a
+window's inputs (``begin_window``), then reports after running them
+(``end_window``).  The coordinator issues every begin before gathering
+any end, so hosts in worker processes execute their windows
+concurrently, while the runtime's in-process replica simply runs its
+window at the end call.  One protocol and one stepping path serve the
+local and pooled drivers, so local/pooled digest equality holds by
 construction.
 
 Fault tolerance (fail-stop worker loss)
@@ -67,7 +69,7 @@ checkpoint-free run (pinned by ``repro chaos --verify-inert``).
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Any, Callable, Optional, Protocol, Sequence
 
 from repro.errors import (
@@ -222,26 +224,21 @@ class PartitionHost(Protocol):
         """Seed and launch; returns the global seed-task count."""
         ...
 
-    def step_window(
+    def begin_window(
         self, horizon: float, imports: Sequence[Export]
-    ) -> WindowReport:
-        """Inject ``imports``, execute every event with ``t <=
-        horizon``, and report."""
+    ) -> None:
+        """Take the window's inputs: inject ``imports`` and execute
+        every event with ``t <= horizon``, now or by ``end_window``."""
+        ...
+
+    def end_window(self) -> WindowReport:
+        """Finish the window begun last and report it."""
         ...
 
     def finalize(self, t_done: float) -> Any:
         """Close out after global termination; returns driver-defined
         final state (counters, results, telemetry)."""
         ...
-
-    # Hosts that execute windows *concurrently* (the pooled driver's
-    # pipe proxies) may additionally implement the split-phase pair
-    # ``begin_window(horizon, imports)`` / ``end_window() ->
-    # WindowReport``; the coordinator then issues every begin before
-    # gathering any report, so partitions genuinely overlap.  The
-    # reports are identical to the synchronous path by construction —
-    # a window's inputs are fixed at its start — so the two stepping
-    # modes cannot diverge.
 
 
 @dataclass(slots=True)
@@ -269,17 +266,7 @@ class WindowStats:
     workers_respawned: int = 0
 
     def as_dict(self) -> dict[str, float]:
-        return {
-            "windows": self.windows,
-            "total_exports": self.total_exports,
-            "total_events": self.total_events,
-            "idle_partition_windows": self.idle_partition_windows,
-            "critical_wall_s": self.critical_wall_s,
-            "busy_wall_s": self.busy_wall_s,
-            "checkpoints_taken": self.checkpoints_taken,
-            "windows_replayed": self.windows_replayed,
-            "workers_respawned": self.workers_respawned,
-        }
+        return asdict(self)
 
     def resilience(self) -> dict[str, float]:
         """The run's :data:`repro.metrics.RESILIENCE_COUNTERS` slice.
@@ -380,8 +367,6 @@ class WindowCoordinator:
         #: pin the no-event-past-horizon property.
         self.on_window = on_window
         self.t_done: Optional[float] = None
-        #: Lazily detected: all hosts offer begin/end split stepping.
-        self._split_phase: Optional[bool] = None
         #: Take a :class:`WindowCheckpoint` every this many completed
         #: windows (None disables checkpointing; replay still works —
         #: the journal, not the checkpoint, is the restore source).
@@ -478,11 +463,6 @@ class WindowCoordinator:
                 )
                 for p in range(n)
             ]
-            if self._split_phase is None:
-                self._split_phase = all(
-                    callable(getattr(host, "begin_window", None))
-                    for host in hosts
-                )
             skipped = WindowReport(
                 frontier=0.0, net_tokens=0, last_delta_time=0.0
             )
@@ -496,43 +476,26 @@ class WindowCoordinator:
                     entry[p] = (horizons[p], imports)
             self._journal.append(entry)
             lost_parts: dict[int, PartitionWorkerLost] = {}
-            if self._split_phase:
-                # Fan out every window before gathering any report —
-                # this is where pooled partitions actually overlap.
-                for p, host in enumerate(hosts):
-                    if entry[p] is not None:
-                        try:
-                            host.begin_window(entry[p][0], entry[p][1])
-                        except PartitionWorkerLost as exc:
-                            exc.window = self.stats.windows
-                            lost_parts[p] = exc
-                reports = []
-                for p, host in enumerate(hosts):
-                    if entry[p] is None:
-                        reports.append(skipped)
-                    elif p in lost_parts:
-                        reports.append(skipped)
-                    else:
-                        try:
-                            reports.append(host.end_window())
-                        except PartitionWorkerLost as exc:
-                            exc.window = self.stats.windows
-                            lost_parts[p] = exc
-                            reports.append(skipped)
-            else:
-                reports = []
-                for p, host in enumerate(hosts):
-                    if entry[p] is None:
-                        reports.append(skipped)
-                    else:
-                        try:
-                            reports.append(
-                                host.step_window(entry[p][0], entry[p][1])
-                            )
-                        except PartitionWorkerLost as exc:
-                            exc.window = self.stats.windows
-                            lost_parts[p] = exc
-                            reports.append(skipped)
+            # Fan out every window before gathering any report — this
+            # is where pooled partitions actually overlap.
+            for p, host in enumerate(hosts):
+                if entry[p] is not None:
+                    try:
+                        host.begin_window(entry[p][0], entry[p][1])
+                    except PartitionWorkerLost as exc:
+                        exc.window = self.stats.windows
+                        lost_parts[p] = exc
+            reports = []
+            for p, host in enumerate(hosts):
+                if entry[p] is None or p in lost_parts:
+                    reports.append(skipped)
+                    continue
+                try:
+                    reports.append(host.end_window())
+                except PartitionWorkerLost as exc:
+                    exc.window = self.stats.windows
+                    lost_parts[p] = exc
+                    reports.append(skipped)
             for p, exc in sorted(lost_parts.items()):
                 # The replay regenerates the current window's report
                 # (exports intact — the dead worker never delivered
@@ -624,7 +587,8 @@ class WindowCoordinator:
                     inp = entry[p]
                     if inp is None:
                         continue
-                    report = host.step_window(inp[0], inp[1])
+                    host.begin_window(inp[0], inp[1])
+                    report = host.end_window()
                     replayed += 1
                     if w < len(self._report_log):
                         logged = self._report_log[w][p]

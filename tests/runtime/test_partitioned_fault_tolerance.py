@@ -20,7 +20,7 @@ from repro.errors import PartitionWorkerLost, SimulationError
 from repro.graph.generators import rmat
 from repro.graph.partition import random_partition
 from repro.harness.runner import get_machine
-from repro.runtime import run_partitioned
+from repro.runtime import partitioned, run_partitioned
 from repro.runtime.partitioned import WorkerKillPlan
 from repro.sim.partition import WindowStats
 
@@ -56,90 +56,82 @@ def serial_digests(cell):
 def test_kill_digest_identical_to_serial(
     cell, serial_digests, app, n, window
 ):
-    stats = WindowStats()
     result = _run(
-        cell, app, n, stats=stats, checkpoint_every=3,
+        cell, app, n, checkpoint_every=3,
         kill_plan=WorkerKillPlan(partition=1, window=window),
     )
     assert result.digest() == serial_digests[app]
-    if window < stats.windows:
-        assert stats.workers_respawned == 1
-        assert stats.windows_replayed == window + 1
+    stats = result.host_stats
+    if window < stats["windows"]:
+        assert stats["workers_respawned"] == 1
+        assert stats["windows_replayed"] == window + 1
     else:  # kill site past the end of the run: plan never fires
-        assert stats.workers_respawned == 0
+        assert stats["workers_respawned"] == 0
 
 
 @pytest.mark.parametrize("app", ["bfs", "pagerank"])
 def test_checkpointing_is_inert_without_kills(cell, app):
     baseline = _run(cell, app, 2)
-    stats = WindowStats()
-    checkpointed = _run(cell, app, 2, stats=stats, checkpoint_every=2)
+    checkpointed = _run(cell, app, 2, checkpoint_every=2)
     assert checkpointed.digest() == baseline.digest()
-    assert stats.checkpoints_taken > 0
-    assert stats.workers_respawned == 0
-    assert stats.windows_replayed == 0
+    stats = checkpointed.host_stats
+    assert stats["checkpoints_taken"] > 0
+    assert stats["workers_respawned"] == 0
+    assert stats["windows_replayed"] == 0
 
 
 def test_kill_without_checkpoints_still_replays(cell, serial_digests):
     # Checkpoints only *verify* replay; the journal alone is enough
     # to reconstruct a lost worker.
-    stats = WindowStats()
     result = _run(
-        cell, "bfs", 2, stats=stats,
+        cell, "bfs", 2,
         kill_plan=WorkerKillPlan(partition=1, window=2),
     )
     assert result.digest() == serial_digests["bfs"]
-    assert stats.workers_respawned == 1
-    assert stats.checkpoints_taken == 0
+    assert result.host_stats["workers_respawned"] == 1
+    assert result.host_stats["checkpoints_taken"] == 0
 
 
-def test_serial_pooled_kill_reruns_whole_run(cell, serial_digests):
-    # P=1 has no coordinator journal: recovery is respawn + rerun.
-    stats = WindowStats()
-    result = _run(
-        cell, "bfs", 1, stats=stats,
-        kill_plan=WorkerKillPlan(partition=0, window=0),
-    )
-    assert result.digest() == serial_digests["bfs"]
-    assert stats.workers_respawned == 1
-
-
-def test_respawn_budget_exhaustion_raises(cell):
+def test_respawn_budget_exhaustion_raises(cell, monkeypatch):
     # A replacement that is itself killed would loop forever without
-    # the budget; max_respawns=0 forbids any replacement at all.
+    # the budget; a budget of 0 forbids any replacement at all.
+    monkeypatch.setattr(partitioned, "MAX_RESPAWNS", 0)
     with pytest.raises((PartitionWorkerLost, SimulationError)):
         _run(
-            cell, "bfs", 2, max_respawns=0,
+            cell, "bfs", 2,
             kill_plan=WorkerKillPlan(partition=1, window=1),
         )
 
 
 def test_kill_plan_rejected_by_local_engine(cell):
+    # A kill needs a worker process to lose and a journal to replay
+    # it from: the pooled driver with at least two partitions.
     from repro.errors import ConfigurationError
 
-    with pytest.raises(ConfigurationError):
-        _run(
-            cell, "bfs", 2, engine="local",
-            kill_plan=WorkerKillPlan(partition=1, window=0),
-        )
+    for engine, n in (("local", 2), ("pooled", 1)):
+        with pytest.raises(ConfigurationError, match="at least 2"):
+            _run(
+                cell, "bfs", n, engine=engine,
+                kill_plan=WorkerKillPlan(partition=0, window=0),
+            )
 
 
 def test_resilience_counts_surface_in_stats_not_digest(
     cell, serial_digests
 ):
     # The digest covers RunResult.counters; resilience accounting must
-    # live in WindowStats only, or recovery would change the outcome.
-    stats = WindowStats()
+    # live in the window stats only, or recovery would change the
+    # outcome.
     result = _run(
-        cell, "bfs", 2, stats=stats, checkpoint_every=2,
+        cell, "bfs", 2, checkpoint_every=2,
         kill_plan=WorkerKillPlan(partition=1, window=2),
     )
     assert result.digest() == serial_digests["bfs"]
     assert not any(k.startswith("resilience_") for k in result.counters)
-    res = stats.resilience()
+    res = WindowStats(**result.host_stats).resilience()
     assert res["resilience_workers_respawned"] == 1.0
     assert res["resilience_windows_replayed"] >= 1.0
     assert res["resilience_checkpoints_taken"] >= 1.0
-    d = stats.as_dict()
+    d = result.host_stats
     assert d["workers_respawned"] == 1
     assert d["windows_replayed"] >= 1

@@ -24,7 +24,6 @@ from repro.graph.partition import random_partition
 from repro.harness.runner import get_machine, get_partition
 from repro.runtime import run_partitioned
 from repro.runtime.executor import AtosConfig
-from repro.sim.partition import WindowStats
 
 EPSILON = 1e-4
 
@@ -53,12 +52,13 @@ def _serial(cell, app, plan=None):
     )
 
 
-def _partitioned(cell, app, n, engine, plan=None, stats=None):
+def _partitioned(cell, app, n, engine, plan=None):
     graph, partition, machine = cell
     return run_partitioned(
         app, graph, partition, machine,
+        atos=AtosDriver(base_config=AtosConfig(faults=plan)),
         n_partitions=n, driver=engine, source=0, epsilon=EPSILON,
-        dataset="g8", base_config=AtosConfig(faults=plan), stats=stats,
+        dataset="g8",
     )
 
 
@@ -67,12 +67,11 @@ def _partitioned(cell, app, n, engine, plan=None, stats=None):
 @pytest.mark.parametrize("app", ["bfs", "pagerank"])
 def test_digest_equality_clean(cell, app, n, engine):
     serial = _serial(cell, app)
-    stats = WindowStats()
-    result = _partitioned(cell, app, n, engine, stats=stats)
+    result = _partitioned(cell, app, n, engine)
     assert result.digest() == serial.digest()
     assert result.framework == serial.framework
     if n > 1:
-        assert stats.windows > 0
+        assert result.host_stats["windows"] > 0
 
 
 @pytest.mark.parametrize("engine", ["local", "pooled"])
@@ -85,37 +84,52 @@ def test_digest_equality_under_chaos(cell, n, engine):
     assert result.digest() == serial.digest()
 
 
+@pytest.fixture
+def no_fork(monkeypatch):
+    """Fail any attempt to start a worker process."""
+    from multiprocessing.process import BaseProcess
+
+    def start(process):
+        raise AssertionError(f"forked {process!r} for one partition")
+
+    monkeypatch.setattr(BaseProcess, "start", start)
+
+
 @pytest.mark.parametrize("engine", ["local", "pooled"])
-def test_crash_plan_collapses_to_one_partition(cell, engine):
+def test_crash_plan_collapses_to_one_partition(cell, engine, no_fork):
     # Fail-stop recovery re-homes ranks across partition boundaries,
-    # which windowed execution cannot replay; such plans run serially
-    # inside the engine (pooled: inside one worker process) and must
-    # still match the serial digest exactly.
+    # which windowed execution cannot replay; such plans run as the
+    # serial executor, in-process on either driver (no worker is
+    # forked), and must still match the serial digest exactly.
     serial = _serial(cell, "bfs", plan=CRASH)
-    stats = WindowStats()
     with pytest.warns(RuntimeWarning, match="downgrading"):
-        result = _partitioned(
-            cell, "bfs", 4, engine, plan=CRASH, stats=stats
-        )
+        result = _partitioned(cell, "bfs", 4, engine, plan=CRASH)
     assert result.digest() == serial.digest()
-    assert stats.windows == 0  # never entered windowed coordination
+    # never entered windowed coordination
+    assert result.host_stats["windows"] == 0
+
+
+def test_one_gpu_pooled_run_forks_nothing(cell, no_fork):
+    # Two partitions of a 1-GPU machine collapse to one: the serial
+    # executor, in-process, with the serial digest.
+    graph = cell[0]
+    cell = (graph, random_partition(graph, 1, seed=1),
+            get_machine("summit-ib", 1))
+    result = _partitioned(cell, "bfs", 2, "pooled")
+    assert result.digest() == _serial(cell, "bfs").digest()
+    assert result.host_stats["windows"] == 0
 
 
 @pytest.mark.parametrize("app", ["bfs", "pagerank"])
 def test_local_and_pooled_agree_window_for_window(cell, app):
     # Same coordinator, same windows: the drivers must agree not just
     # on the final digest but on the synchronization schedule itself.
-    local_stats, pooled_stats = WindowStats(), WindowStats()
-    local = _partitioned(cell, app, 4, "local", stats=local_stats)
-    pooled = _partitioned(cell, app, 4, "pooled", stats=pooled_stats)
+    local = _partitioned(cell, app, 4, "local")
+    pooled = _partitioned(cell, app, 4, "pooled")
     assert local.digest() == pooled.digest()
-    assert local_stats.windows == pooled_stats.windows
-    assert local_stats.total_exports == pooled_stats.total_exports
-    assert local_stats.total_events == pooled_stats.total_events
-    assert (
-        local_stats.idle_partition_windows
-        == pooled_stats.idle_partition_windows
-    )
+    for key in ("windows", "total_exports", "total_events",
+                "idle_partition_windows"):
+        assert local.host_stats[key] == pooled.host_stats[key]
 
 
 @pytest.fixture(scope="module", params=["bfs", "pagerank"])

@@ -3,10 +3,11 @@
 The golden-digest suite (``tests/runtime/test_partitioned_golden.py``)
 pins the end-to-end contract; these tests pin the coordination layer in
 isolation: rank assignment, lookahead/horizon math, the coordinator's
-stepping semantics (skip of provably-inert partitions, split-phase fan
-out), and — via Hypothesis over real :class:`~repro.sim.Environment`
-instances — the safety property the whole design rests on: **no event
-ever executes past its partition's safe horizon**.
+stepping semantics (skip of provably-inert partitions, every begin
+before any end), and — via Hypothesis over real
+:class:`~repro.sim.Environment` instances — the safety property the
+whole design rests on: **no event ever executes past its partition's
+safe horizon**.
 """
 
 import pytest
@@ -103,6 +104,9 @@ def test_safe_horizons_drained_neighbor_leaves_echo_bound():
 class ScriptHost:
     """A partition that retires scripted jobs and forwards hops.
 
+    ``begin_window`` only stores the window's inputs; ``end_window``
+    runs them, as the runtime's in-process replica does.
+
     Each job is ``(time, hops)``: executing it at ``time`` consumes one
     work token; if ``hops`` remain it exports a follow-on job to the
     other partition arriving after the link lookahead (plus a strictly
@@ -122,6 +126,7 @@ class ScriptHost:
         self.executed = []  # (window_index, time)
         self.window = -1
         self.step_calls = 0
+        self.trace = []  # ("begin" | "end", pid) protocol calls
         self.env = Environment()
         self._seq = 0
 
@@ -157,7 +162,13 @@ class ScriptHost:
             self._schedule(when, hops)
         return len(self.jobs)
 
-    def step_window(self, horizon, imports):
+    def begin_window(self, horizon, imports):
+        self.trace.append(("begin", self.pid))
+        self._window = (horizon, list(imports))
+
+    def end_window(self):
+        self.trace.append(("end", self.pid))
+        horizon, imports = self._window
         self.step_calls += 1
         self.window += 1
         before = len(self.executed)
@@ -228,14 +239,14 @@ def test_coordinator_negative_global_balance_raises():
     hosts, coord = _make_pair([(1.0, 0)], [])
     hosts[0].net = -1  # simulate a double-retire
 
-    original = hosts[0].step_window
+    original = hosts[0].end_window
 
-    def corrupting(horizon, imports):
-        report = original(horizon, imports)
+    def corrupting():
+        report = original()
         report.net_tokens = -1
         return report
 
-    hosts[0].step_window = corrupting
+    hosts[0].end_window = corrupting
     with pytest.raises(SimulationError):
         coord.run()
 
@@ -263,61 +274,26 @@ def test_skipped_partition_still_receives_imports():
     assert times1 == [1.75, 50.0]
 
 
-class SplitHost(ScriptHost):
-    """ScriptHost exposing the split-phase pair, recording call order."""
-
-    trace: list = []
-
-    def begin_window(self, horizon, imports):
-        SplitHost.trace.append(("begin", self.pid))
-        self._pending = (horizon, list(imports))
-
-    def end_window(self):
-        SplitHost.trace.append(("end", self.pid))
-        horizon, imports = self._pending
-        return self.step_window(horizon, imports)
-
-
-def test_split_phase_fans_out_before_gathering():
-    SplitHost.trace = []
+def test_window_protocol_fans_out_before_gathering():
     hosts = [
-        SplitHost(0, rank=0, peer_rank=1, jobs=[(1.0, 1)], la=2.0),
-        SplitHost(1, rank=1, peer_rank=0, jobs=[(2.0, 0)], la=2.0),
+        ScriptHost(0, rank=0, peer_rank=1, jobs=[(1.0, 1)], la=2.0),
+        ScriptHost(1, rank=1, peer_rank=0, jobs=[(2.0, 0)], la=2.0),
     ]
+    trace = hosts[0].trace = hosts[1].trace = []
     coord = WindowCoordinator(hosts, {(0, 1): 2.0, (1, 0): 2.0})
     coord.set_rank_owners([[0], [1]])
     coord.run()
-    # Within any window, every begin precedes every end.
-    trace = SplitHost.trace
-    assert trace, "split-phase protocol was never used"
-    opens = 0
-    for kind, _pid in trace:
-        if kind == "begin":
-            opens += 1
-        else:
-            assert opens > 0
-            # an end may only follow once all begins of its window are
-            # out; the coordinator's shape guarantees begins come in a
-            # burst, so a "begin" never appears between two "end"s of
-            # the same window.
-    ends = [i for i, (kind, _p) in enumerate(trace) if kind == "end"]
-    begins = [i for i, (kind, _p) in enumerate(trace) if kind == "begin"]
-    assert min(ends) > min(begins)
-
-
-def test_split_phase_matches_sequential_results():
-    def run_with(cls):
-        hosts = [
-            cls(0, rank=0, peer_rank=1, jobs=[(1.0, 2), (3.0, 0)], la=1.0),
-            cls(1, rank=1, peer_rank=0, jobs=[(2.0, 1)], la=1.0),
-        ]
-        coord = WindowCoordinator(hosts, {(0, 1): 1.0, (1, 0): 1.0})
-        coord.set_rank_owners([[0], [1]])
-        t_done = coord.run()
-        return t_done, [sorted(t for _, t in h.executed) for h in hosts]
-
-    SplitHost.trace = []
-    assert run_with(ScriptHost) == run_with(SplitHost)
+    # Within any window, every begin precedes every end: the trace is
+    # a run of begins, then a run of ends for the same partitions,
+    # window after window.
+    assert trace, "the window protocol was never used"
+    windows = []
+    for kind, pid in trace:
+        if kind == "begin" and (not windows or windows[-1][1]):
+            windows.append(([], []))
+        windows[-1][0 if kind == "begin" else 1].append(pid)
+    for begins, ends in windows:
+        assert begins == ends
 
 
 # ------------------------------------------------- the safety property

@@ -231,13 +231,6 @@ def test_run_partitions_rejects_baseline_framework(capsys, tmp_path,
     assert captured.err.count("\n") == 1
 
 
-def test_report_quick(capsys):
-    assert main(["report", "--quick"]) == 0
-    out = capsys.readouterr().out
-    assert "winner agreement" in out
-    assert "Table II" in out and "Table IV" in out
-
-
 def test_chaos_quick(capsys):
     code = main(["chaos", "--quick", "--drop-rates", "0,0.1"])
     out = capsys.readouterr().out
@@ -406,6 +399,8 @@ def test_report_renders_cache_line(capsys, tmp_path, monkeypatch):
     clear_memory_cache()
     assert main(["report", "--quick"]) == 0
     cold = capsys.readouterr().out
+    assert "winner agreement" in cold
+    assert "Table II" in cold and "Table IV" in cold
     assert "run cache:" in cold
     # Tables themselves stay cache-temperature-independent: only the
     # trailing cache line may differ between cold and warm runs.

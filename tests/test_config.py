@@ -137,14 +137,12 @@ def test_validate_tuning_central_bounds():
     from repro.errors import ConfigError
 
     validate_tuning()  # all-None is fine
-    validate_tuning(batch_size=1, wait_time=0, fetch_size=1,
-                    engine_queue="calendar", partitions=1)
+    validate_tuning(batch_size=1, wait_time=0, fetch_size=1, partitions=1)
     for bad in (
         dict(batch_size=0),
         dict(batch_size=2.5),
         dict(wait_time=-1),
         dict(fetch_size=0),
-        dict(engine_queue="splay"),
         dict(partitions=0),
         dict(pdes_driver="mpi"),
     ):
