@@ -1,11 +1,10 @@
 """The ``REPRO_BATCH_PATH`` escape hatch.
 
-PR 2 vectorizes the queue -> aggregator -> executor data path: payload
-batches cross the runtime as dense arrays instead of per-payload Python
-objects.  The batched path is observably equivalent to the original
+The vectorized queue -> aggregator -> executor data path carries
+payload batches across the runtime as dense arrays instead of
+per-payload Python objects.  The batched path is observably equivalent to the original
 per-payload path — the golden-trace suite pins bit-identical event
-traces and run digests for both — but, mirroring PR 1's
-``Environment.reference_loop``, an escape hatch keeps the
+traces and run digests for both — and an escape hatch keeps the
 straightforward reference implementation one environment variable away::
 
     REPRO_BATCH_PATH=0 python -m repro table5   # per-payload reference

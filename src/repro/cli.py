@@ -229,22 +229,6 @@ def _cmd_report(args: argparse.Namespace) -> int:
         table4_pagerank_nvlink,
     )
 
-    if args.utilization:
-        # Per-rank compute/comm/idle split of one traced cell instead
-        # of the grid shape report (grids would re-simulate everything).
-        from repro.harness.profile import run_profile
-
-        profile = run_profile(
-            "atos-standard-persistent",
-            "bfs",
-            "road-usa",
-            "summit-ib",
-            4,
-            seed=args.seed,
-        )
-        print(profile.render())
-        return 0
-
     datasets, gpus = _grid_args(args.quick)
     grids = [
         table2_bfs_nvlink(
@@ -271,7 +255,6 @@ def _cmd_report(args: argparse.Namespace) -> int:
     print("\n\n".join(r.render() for r in reports))
     # Cache economics live here, NOT in the table renders — those must
     # stay byte-identical between cold and warm runs (CI diffs them).
-    from repro.harness import get_cache
     from repro.metrics.tables import format_cache_line
 
     print()
@@ -279,7 +262,6 @@ def _cmd_report(args: argparse.Namespace) -> int:
         format_cache_line(
             sum(g.cache_hits for g in grids),
             sum(g.cache_misses for g in grids),
-            waits=get_cache().single_flight_waits,
         )
     )
     return 0
@@ -500,12 +482,6 @@ def build_parser() -> argparse.ArgumentParser:
         "report", help="paper-vs-measured shape report (NVLink tables)"
     )
     report.add_argument("--quick", action="store_true")
-    report.add_argument(
-        "--utilization",
-        action="store_true",
-        help="print the per-rank compute/comm/idle split of a traced "
-        "headline cell instead of the grid shape report",
-    )
     add_pool_flags(report)
     report.set_defaults(func=_cmd_report)
 

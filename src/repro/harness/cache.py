@@ -19,11 +19,6 @@ Safety properties the tests pin:
 * **Key sensitivity** — any change to a spec field, a machine-config
   constant, or the package version changes the key, so mutated configs
   can never be served stale results.
-* **Single flight** — within a process, concurrent writers of the same
-  key serialize on a per-key lock, and :meth:`RunCache.single_flight`
-  lets the first caller compute while same-key contemporaries wait and
-  then read its entry instead of recomputing (the serving layer leans
-  on this to coalesce identical concurrent requests).
 
 Configuration is by environment variable so worker processes inherit
 it: ``REPRO_CACHE_DIR`` overrides the cache directory and
@@ -37,10 +32,9 @@ import json
 import os
 import pickle
 import tempfile
-import threading
 from dataclasses import fields, is_dataclass
 from pathlib import Path
-from typing import Any, Callable, Optional
+from typing import Any, Optional
 
 from repro._version import __version__
 
@@ -166,19 +160,6 @@ class RunCache:
         self.hits = 0
         self.misses = 0
         self.stores = 0
-        #: single_flight callers who waited on a contemporary's compute
-        #: and then read its fresh entry instead of recomputing.
-        self.single_flight_waits = 0
-        self._locks_guard = threading.Lock()
-        self._key_locks: dict[str, threading.RLock] = {}
-
-    def _key_lock(self, key: str) -> threading.RLock:
-        """The per-key lock serializing same-key writers in-process."""
-        with self._locks_guard:
-            lock = self._key_locks.get(key)
-            if lock is None:
-                lock = self._key_locks[key] = threading.RLock()
-            return lock
 
     # -- keys -----------------------------------------------------------
     @staticmethod
@@ -247,44 +228,21 @@ class RunCache:
         digest = hashlib.sha256(payload).hexdigest().encode("ascii")
         blob = _MAGIC + digest + b"\n" + payload
         self.directory.mkdir(parents=True, exist_ok=True)
-        with self._key_lock(key):
-            fd, tmp_name = tempfile.mkstemp(
-                dir=self.directory, prefix=".tmp-", suffix=_SUFFIX
-            )
+        fd, tmp_name = tempfile.mkstemp(
+            dir=self.directory, prefix=".tmp-", suffix=_SUFFIX
+        )
+        try:
+            with os.fdopen(fd, "wb") as handle:
+                handle.write(blob)
+            os.replace(tmp_name, self._path(key))
+        except BaseException:
             try:
-                with os.fdopen(fd, "wb") as handle:
-                    handle.write(blob)
-                os.replace(tmp_name, self._path(key))
-            except BaseException:
-                try:
-                    os.unlink(tmp_name)
-                except OSError:
-                    pass
-                raise
-            self.stores += 1
+                os.unlink(tmp_name)
+            except OSError:
+                pass
+            raise
+        self.stores += 1
         return self._path(key)
-
-    def single_flight(self, key: str, compute: "Callable[[], Any]") -> Any:
-        """Resolve ``key``: load it, or compute-and-store exactly once.
-
-        Concurrent same-key callers serialize on the per-key lock; the
-        first one in computes and stores, the rest wake up, find the
-        fresh entry, and load it — one execution, one disk entry, no
-        matter how many threads ask at once.  Different keys do not
-        contend.  (Cross-*process* races remain benign-but-duplicated:
-        atomic replace keeps the entry intact either way.)
-        """
-        cached = self.load(key)
-        if cached is not None:
-            return cached
-        with self._key_lock(key):
-            cached = self.load(key)  # a contemporary may have won the lock
-            if cached is not None:
-                self.single_flight_waits += 1
-                return cached
-            value = compute()
-            self.store(key, value)
-            return value
 
     # -- maintenance ----------------------------------------------------
     def entries(self) -> list[Path]:
@@ -311,7 +269,6 @@ class RunCache:
             "hits": self.hits,
             "misses": self.misses,
             "stores": self.stores,
-            "single_flight_waits": self.single_flight_waits,
             "enabled": cache_enabled(),
         }
 

@@ -96,7 +96,7 @@ def format_generic_table(
 
 
 def format_cache_line(
-    hits: int, misses: int, waits: int = 0, label: str = "run cache"
+    hits: int, misses: int, label: str = "run cache"
 ) -> str:
     """One-line persistent-cache effectiveness summary.
 
@@ -106,10 +106,7 @@ def format_cache_line(
     """
     total = hits + misses
     rate = (100.0 * hits / total) if total else 0.0
-    line = (
+    return (
         f"{label}: {hits} hit{'s' if hits != 1 else ''} / "
         f"{total} run{'s' if total != 1 else ''} ({rate:.0f}% hit rate)"
     )
-    if waits:
-        line += f", {waits} single-flight wait{'s' if waits != 1 else ''}"
-    return line

@@ -8,7 +8,8 @@ Public surface:
 * :class:`~repro.sim.monitor.IntervalAccumulator` — busy-interval
   accounting for the overlap analysis.
 * :mod:`repro.sim.equeue` — pluggable event queues (``heap`` reference,
-  ``calendar`` with cohort dispatch), selected via ``REPRO_ENGINE_QUEUE``.
+  ``calendar`` bucketed by time), selected via ``REPRO_ENGINE_QUEUE``;
+  both pop the identical ``(time, priority, seq)`` order.
 """
 
 from repro.sim.core import (

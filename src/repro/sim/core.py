@@ -5,7 +5,9 @@ A small, dependency-free event-loop in the style of SimPy: an
 :mod:`repro.sim.equeue` — binary heap or calendar queue, selected by
 ``REPRO_ENGINE_QUEUE``), a :class:`Process` wraps a Python generator
 that ``yield``\\ s events to wait on, and :class:`Timeout` models the
-passage of simulated time.
+passage of simulated time.  :meth:`Environment.run` is one loop: pop
+the next ``(time, priority, seq, event)`` entry, advance the clock to
+it, fire its callbacks.
 
 The engine is deliberately deterministic: events scheduled for the same
 simulated time fire in (priority, insertion-order) order, so repeated
@@ -106,13 +108,6 @@ class Event:
         self._ok = False
         self.env._schedule(self, delay=delay)
         return self
-
-    def _fire(self) -> None:
-        """Run and detach callbacks.  Called by the environment."""
-        callbacks, self.callbacks = self.callbacks, None
-        self._processed = True
-        for cb in callbacks:  # type: ignore[union-attr]
-            cb(self)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = (
@@ -338,7 +333,6 @@ class Environment:
         "_eid",
         "_active_process",
         "trace_hook",
-        "reference_loop",
     )
 
     def __init__(
@@ -364,11 +358,6 @@ class Environment:
         self.trace_hook: Optional[
             Callable[[tuple[float, int, int, Event]], None]
         ] = None
-        #: When True, :meth:`run` uses the straightforward one-
-        #: ``step()``-per-event reference loop instead of the inlined
-        #: cohort-batched fast loop.  Both must produce bit-identical
-        #: traces; the golden-trace suite pins that equivalence.
-        self.reference_loop: bool = False
 
     @property
     def now(self) -> float:
@@ -430,67 +419,25 @@ class Environment:
         """Time of the next scheduled event, or ``inf`` if none."""
         return self._equeue.peek()
 
-    def step(self) -> None:
-        """Process the single next event (the reference dispatch path).
-
-        Pops through the same :class:`~repro.sim.equeue.EventQueue`
-        interface as the fast loop — there is no second access path
-        that could drift from it.
-        """
-        queue = self._equeue
-        if not queue:
-            raise DeadlockError("no scheduled events")
-        entry = queue.pop()
-        when, _prio, _eid, event = entry
-        if when < self._now:  # pragma: no cover - queue invariant
-            raise SimulationError("event scheduled in the past")
-        self._now = when
-        if self.trace_hook is not None:
-            self.trace_hook(entry)
-        if (
-            isinstance(event, Process)
-            and not event._ok
-            and not event.callbacks
-        ):
-            # A process died with an unhandled exception and nothing was
-            # waiting on it: surface the failure instead of losing it.
-            event._fire()
-            raise event._value  # type: ignore[misc]
-        event._fire()
-
     def _dispatch(
         self,
         stop_event: Optional[Event],
         horizon: Optional[float],
     ) -> None:
-        """The inlined hot loop behind :meth:`run`.
+        """The event loop behind :meth:`run`: pop, advance, fire.
 
-        Runs until ``stop_event`` is processed (if given), simulated
-        time would pass ``horizon`` (if given), or the queue drains.
-        Semantically identical to calling :meth:`step` in a loop — the
-        golden-trace suite asserts bit-identical event order against
-        that reference — but with queue methods and callback dispatch
-        bound to locals, and whole same-``(time, priority)`` cohorts
-        popped in one batch (:meth:`EventQueue.pop_cohort`) instead of
-        one sift per event.
-
-        Cohort batching preserves the documented (priority,
-        insertion-order) tie contract exactly: a fired callback can
-        only schedule entries with *larger* sequence numbers at the
-        *current or a later* time, so the only way the popped cohort
-        can become stale is an urgent (lower-priority-value) same-time
-        push.  After any fire that grew the queue, the head key is
-        compared against the next cohort member; on preemption the
-        unfired remainder is pushed back (its keys are unchanged, so
-        global order is untouched) and the outer loop re-pops.
+        Runs until ``stop_event`` is processed (if given), the next
+        event lies past ``horizon`` (if given), or the queue drains.
+        Events fire one at a time in strictly increasing ``(time,
+        priority, seq)`` order, so an urgent event a callback schedules
+        at the current time fires before the remaining normal events of
+        that time, and an exception out of a callback leaves exactly the
+        unfired events scheduled.
         """
         queue = self._equeue
-        pop_cohort = queue.pop_cohort
-        push = queue.push
+        pop = queue.pop
         hook = self.trace_hook
-        while True:
-            if stop_event is not None and stop_event._processed:
-                return
+        while stop_event is None or not stop_event._processed:
             if not queue:
                 if stop_event is not None:
                     raise DeadlockError(
@@ -498,63 +445,26 @@ class Environment:
                         "triggered"
                     )
                 return
-            if horizon is not None and queue.peek() > horizon:
+            entry = pop()
+            when, _priority, _seq, event = entry
+            if horizon is not None and when > horizon:
+                # One push-back per window: the entry's key is unchanged.
+                queue.push(entry)
                 return
-            cohort = pop_cohort()
-            when = cohort[0][0]
-            priority = cohort[0][1]
-            if when < self._now:  # pragma: no cover - queue invariant
-                raise SimulationError("event scheduled in the past")
             self._now = when
-            pending = len(queue)
-            for i, entry in enumerate(cohort):
-                if i:
-                    if stop_event is not None and stop_event._processed:
-                        # The previous fire finished the run: the
-                        # unfired remainder stays scheduled, exactly as
-                        # the one-step reference loop would leave it.
-                        for e in cohort[i:]:
-                            push(e)
-                        return
-                    grown = len(queue)
-                    if grown != pending:
-                        key = queue.peek_key()
-                        if key is not None and key < (when, priority):
-                            # An urgent same-time event jumped ahead of
-                            # the rest of this cohort: yield to it.
-                            for e in cohort[i:]:
-                                push(e)
-                            break
-                        pending = grown
-                event = entry[3]
-                if hook is not None:
-                    hook(entry)
-                callbacks = event.callbacks
-                if (
-                    callbacks is not None
-                    and not callbacks
-                    and not event._ok
-                    and isinstance(event, Process)
-                ):
-                    # Dead process with no waiter: surface the failure.
-                    for e in cohort[i + 1:]:
-                        push(e)
-                    event._fire()
-                    raise event._value  # type: ignore[misc]
-                # Inlined Event._fire(): detach callbacks, mark
-                # processed, dispatch the batch.
-                event.callbacks = None
-                event._processed = True
-                try:
-                    for cb in callbacks:  # type: ignore[union-attr]
-                        cb(event)
-                except BaseException:
-                    # A callback raised out of the loop: requeue the
-                    # unfired remainder so the queue matches what the
-                    # reference loop would hold at the same raise.
-                    for e in cohort[i + 1:]:
-                        push(e)
-                    raise
+            if hook is not None:
+                hook(entry)
+            # Detach the callbacks and mark the event processed first, so
+            # a callback that waits on it sees it as already processed.
+            callbacks = event.callbacks
+            event.callbacks = None
+            event._processed = True
+            if not callbacks and not event._ok and isinstance(event, Process):
+                # A process died with an unhandled exception and nothing
+                # was waiting on it: surface the failure, do not lose it.
+                raise event._value  # type: ignore[misc]
+            for cb in callbacks:  # type: ignore[union-attr]
+                cb(event)
 
     def run(self, until: Optional[float | Event] = None) -> Any:
         """Run the event loop.
@@ -564,34 +474,16 @@ class Environment:
         (run until it is processed; returns/raises its value).
         """
         if isinstance(until, Event):
-            stop_event = until
-            if self.reference_loop:
-                while not stop_event.processed:
-                    if not self._equeue:
-                        raise DeadlockError(
-                            f"event queue drained before {stop_event!r} "
-                            "triggered"
-                        )
-                    self.step()
-            else:
-                self._dispatch(stop_event, None)
-            if stop_event.ok:
-                return stop_event.value
-            raise stop_event.value  # type: ignore[misc]
+            self._dispatch(until, None)
+            if until.ok:
+                return until.value
+            raise until.value  # type: ignore[misc]
         if until is not None:
             horizon = float(until)
             if horizon < self._now:
                 raise ValueError("cannot run backwards in time")
-            if self.reference_loop:
-                while self._equeue.peek() <= horizon:
-                    self.step()
-            else:
-                self._dispatch(None, horizon)
+            self._dispatch(None, horizon)
             self._now = horizon
             return None
-        if self.reference_loop:
-            while self._equeue:
-                self.step()
-        else:
-            self._dispatch(None, None)
+        self._dispatch(None, None)
         return None

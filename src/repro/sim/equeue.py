@@ -13,9 +13,7 @@ implementation detail.  This module makes the queue pluggable:
   bucket per ``width`` of simulated time, years wrap modulo the bucket
   count) with lazy bucket resizing, tuned for the engine's workload:
   events cluster at shared timestamps (round boundaries, poll
-  cadences), and :meth:`~EventQueue.pop_cohort` slices a whole
-  same-``(time, priority)`` run out of one bucket in one operation
-  instead of paying one ``heappop`` sift per event.
+  cadences), which all land in one bucket.
 
 Both variants produce the **identical pop order** for the identical
 push sequence — the differential suite pins bit-identical golden trace
@@ -26,10 +24,9 @@ Select via the environment variable, read once per
 
     REPRO_ENGINE_QUEUE=calendar python -m repro table5
 
-``cancel`` exists for the differential fuzz suite and the engine
-microbench (the core engine never removes a scheduled entry): the heap
-tombstones lazily, the calendar removes eagerly — either way a
-cancelled entry never surfaces from ``pop``.
+The engine pops one entry at a time.  ``pop_cohort`` (the maximal run
+of head entries sharing one ``(time, priority)``) has no caller in the
+engine; the host-speed benchmark's layer tracer still counts it.
 """
 
 from __future__ import annotations
@@ -37,7 +34,7 @@ from __future__ import annotations
 import heapq
 import os
 from bisect import bisect_right
-from typing import Any, Optional
+from typing import Optional
 
 from repro.config import ENGINE_QUEUES as _ENGINE_QUEUES
 
@@ -122,91 +119,40 @@ class EventQueue:
         """Time of the next entry, or ``inf`` when empty."""
         raise NotImplementedError
 
-    def peek_key(self) -> Optional[tuple]:
-        """``(time, priority)`` of the next entry, or ``None`` when empty."""
-        raise NotImplementedError
-
-    def cancel(self, entry: Entry) -> bool:
-        """Remove ``entry`` (matched by its unique ``seq``) before it
-        pops.  Returns False if it is not pending (already popped or
-        already cancelled)."""
-        raise NotImplementedError
-
     def __len__(self) -> int:
         raise NotImplementedError
 
-    def __bool__(self) -> bool:
-        return len(self) > 0
-
 
 class HeapQueue(EventQueue):
-    """The reference queue: a ``heapq`` binary heap.
+    """The reference queue: a ``heapq`` binary heap."""
 
-    Cancellation tombstones lazily (a binary heap cannot cheaply remove
-    an interior entry): cancelled seqs sit in a set and are discarded
-    whenever they surface at the heap head.
-    """
-
-    __slots__ = ("_heap", "_cancelled")
+    __slots__ = ("_heap",)
 
     name = "heap"
 
     def __init__(self) -> None:
         self._heap: list[Entry] = []
-        self._cancelled: set[int] = set()
 
     def push(self, entry: Entry) -> None:
         heapq.heappush(self._heap, entry)
 
-    def _skim(self) -> None:
-        """Drop cancelled entries sitting at the heap head."""
-        heap, cancelled = self._heap, self._cancelled
-        while heap and heap[0][2] in cancelled:
-            cancelled.discard(heapq.heappop(heap)[2])
-
     def pop(self) -> Entry:
-        self._skim()
         return heapq.heappop(self._heap)
 
     def pop_cohort(self) -> list:
-        self._skim()
         heap = self._heap
         head = heapq.heappop(heap)
         when, priority = head[0], head[1]
         cohort = [head]
-        cancelled = self._cancelled
         while heap and heap[0][0] == when and heap[0][1] == priority:
-            entry = heapq.heappop(heap)
-            if entry[2] in cancelled:
-                cancelled.discard(entry[2])
-                continue
-            cohort.append(entry)
+            cohort.append(heapq.heappop(heap))
         return cohort
 
     def peek(self) -> float:
-        self._skim()
         return self._heap[0][0] if self._heap else _INF
 
-    def peek_key(self) -> Optional[tuple]:
-        self._skim()
-        if not self._heap:
-            return None
-        head = self._heap[0]
-        return (head[0], head[1])
-
-    def cancel(self, entry: Entry) -> bool:
-        seq = entry[2]
-        if seq in self._cancelled:
-            return False
-        # Membership check keeps ``len`` exact; O(n) but cancel is a
-        # test/bench-only operation, never on the engine's hot path.
-        if not any(e[2] == seq for e in self._heap):
-            return False
-        self._cancelled.add(seq)
-        return True
-
     def __len__(self) -> int:
-        return len(self._heap) - len(self._cancelled)
+        return len(self._heap)
 
 
 class CalendarQueue(EventQueue):
@@ -290,9 +236,9 @@ class CalendarQueue(EventQueue):
         bucket.append(entry)
         self._size += 1
         if vb < self._cur_v:
-            # Earlier than the scan position (a re-push of a deferred
-            # cohort remainder, or a fuzz push into the past): rewind so
-            # the scan cannot skip it for a whole year.
+            # Earlier than the scan position (the run loop's horizon
+            # push-back after a pop that resized, or a fuzz push into
+            # the past): rewind so the scan cannot skip it for a year.
             self._cur_v = vb
         if self._occupied * 4 > self._n_buckets * 3:
             self._resize(2 * self._n_buckets)
@@ -354,8 +300,7 @@ class CalendarQueue(EventQueue):
 
         Equal times always map to the same physical bucket, so the run
         is a contiguous prefix of one sorted bucket: one ``bisect``
-        finds its end and one slice removes it — the batch win the
-        heap's per-entry sift cannot offer.
+        finds its end and one slice removes it.
         """
         if not self._size:
             raise IndexError("pop from an empty CalendarQueue")
@@ -380,32 +325,6 @@ class CalendarQueue(EventQueue):
         if not self._size:
             return _INF
         return self._locate_head()[0][0]
-
-    def peek_key(self) -> Optional[tuple]:
-        if not self._size:
-            return None
-        head = self._locate_head()[0]
-        return (head[0], head[1])
-
-    def cancel(self, entry: Entry) -> bool:
-        i = int(entry[0] / self._width) % self._n_buckets
-        bucket = self._buckets[i]
-        if self._dirty[i]:
-            bucket.sort()
-            self._dirty[i] = False
-        # All entries sharing the time are contiguous; scan the run for
-        # the matching seq (removal is eager — no tombstones to skip).
-        i = bisect_right(bucket, (entry[0], -1, -1))
-        seq = entry[2]
-        while i < len(bucket) and bucket[i][0] == entry[0]:
-            if bucket[i][2] == seq:
-                del bucket[i]
-                self._size -= 1
-                if not bucket:
-                    self._occupied -= 1
-                return True
-            i += 1
-        return False
 
     def __len__(self) -> int:
         return self._size
@@ -438,8 +357,8 @@ class CalendarQueue(EventQueue):
         """Brown's width heuristic: ~3x the mean gap between adjacent
         live entries, so a bucket holds ~1-3 events.  Sampling is an
         evenly-strided slice of the sorted population; duplicate
-        timestamps contribute no gap (the cohort dispatcher absorbs
-        them in one slice, so they should not shrink the width)."""
+        timestamps contribute no gap (they share one bucket whatever
+        the width, so they should not shrink it)."""
         if len(entries) < 2:
             return 1.0
         step = max(1, len(entries) // 64)

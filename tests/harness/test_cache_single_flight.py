@@ -1,10 +1,8 @@
-"""Single-flight hardening of the run cache.
+"""Concurrent same-key writes to the run cache.
 
-The serving layer coalesces identical concurrent requests onto one
-execution; the property that makes that safe lives here: two
-simultaneous writers of the same key must produce exactly one cache
-entry, and ``single_flight`` must compute at most once per key no
-matter how many threads ask at the same time.
+``RunCache.store`` writes through a temp file and ``os.replace``, so
+simultaneous writers of one key must leave exactly one intact entry
+and no stray temp file.
 """
 
 import threading
@@ -45,71 +43,3 @@ def test_simultaneous_writers_one_entry(tmp_path):
     assert not list(tmp_path.glob(".tmp-*"))  # no stray temp files
     loaded = cache.load(key)
     assert isinstance(loaded, dict) and "writer" in loaded
-
-
-def test_single_flight_computes_once(tmp_path):
-    cache = RunCache(tmp_path)
-    key = RunCache.key({"cell": "dedup"})
-    computed = []
-    compute_lock = threading.Lock()
-    results = {}
-
-    def compute():
-        with compute_lock:
-            computed.append(1)
-        return {"value": 42}
-
-    def flight(i):
-        results[i] = cache.single_flight(key, compute)
-
-    _barrier_run(8, flight)
-
-    assert len(computed) == 1  # one execution for eight askers
-    assert all(value == {"value": 42} for value in results.values())
-    assert len(cache.entries()) == 1
-    # Followers were served from the entry the winner stored.
-    assert cache.hits >= 7
-
-
-def test_single_flight_serves_existing_entry(tmp_path):
-    cache = RunCache(tmp_path)
-    key = RunCache.key({"cell": "warm"})
-    cache.store(key, "already-here")
-    assert cache.single_flight(key, lambda: "recomputed") == "already-here"
-
-
-def test_single_flight_distinct_keys_compute_independently(tmp_path):
-    cache = RunCache(tmp_path)
-    seen = []
-
-    def make(i):
-        def compute():
-            seen.append(i)
-            return i
-
-        return compute
-
-    for i in range(4):
-        assert cache.single_flight(
-            RunCache.key({"cell": i}), make(i)
-        ) == i
-    assert sorted(seen) == [0, 1, 2, 3]
-    assert len(cache.entries()) == 4
-
-
-def test_single_flight_propagates_compute_errors(tmp_path):
-    cache = RunCache(tmp_path)
-    key = RunCache.key({"cell": "boom"})
-
-    def compute():
-        raise RuntimeError("boom")
-
-    try:
-        cache.single_flight(key, compute)
-    except RuntimeError:
-        pass
-    else:  # pragma: no cover
-        raise AssertionError("error not propagated")
-    # A failed compute stores nothing; the next caller retries.
-    assert cache.load(key) is None
-    assert cache.single_flight(key, lambda: "second-try") == "second-try"

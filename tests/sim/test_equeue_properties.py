@@ -9,8 +9,6 @@ queue variants:
   ``(time, priority, seq)`` no matter the push order;
 * cohort maximality — ``pop_cohort`` returns exactly the maximal run of
   head-equal ``(time, priority)`` entries, in ``seq`` order;
-* cancellation — a cancelled entry never surfaces, ``len`` stays exact,
-  double-cancel reports False;
 * selection plumbing — ``REPRO_ENGINE_QUEUE`` parsing, ``make_queue``
   pass-through, and :class:`Environment` queue injection.
 """
@@ -108,6 +106,7 @@ def test_pop_cohort_is_maximal_and_ordered(variant, times):
     for e in entries:
         q.push(e)
     drained = []
+    last_key = None
     while q:
         before = len(q)
         cohort = q.pop_cohort()
@@ -117,8 +116,10 @@ def test_pop_cohort_is_maximal_and_ordered(variant, times):
         assert len(keys) == 1
         seqs = [e[2] for e in cohort]
         assert seqs == sorted(seqs)
-        # Maximality: nothing left in the queue shares the key.
-        assert q.peek_key() != cohort[0][:2]
+        # Maximality: the previous cohort left no entry of its key, so
+        # the next head (the minimum) has a different one.
+        assert cohort[0][:2] != last_key
+        last_key = cohort[0][:2]
         drained.extend(cohort)
     assert drained == sorted(entries)
 
@@ -131,49 +132,16 @@ def test_pop_cohort_on_empty_queue_raises(variant):
         _queue(variant).pop()
 
 
-# ------------------------------------------------------ cancellation
+# -------------------------------------------------------------- peek
 @pytest.mark.parametrize("variant", VARIANTS)
-@given(times=_times, picks=st.data())
-@settings(max_examples=60, deadline=None)
-def test_cancelled_entries_never_surface(variant, times, picks):
-    q = _queue(variant)
-    entries = _entries(times)
-    for e in entries:
-        q.push(e)
-    n_cancel = picks.draw(st.integers(0, len(entries)))
-    idx = picks.draw(
-        st.lists(st.integers(0, len(entries) - 1),
-                 min_size=n_cancel, max_size=n_cancel, unique=True)
-    )
-    cancelled = [entries[i] for i in idx]
-    for e in cancelled:
-        assert q.cancel(e) is True
-        assert q.cancel(e) is False  # double-cancel is a no-op
-    survivors = sorted(set(entries) - set(cancelled))
-    assert len(q) == len(survivors)
-    assert [q.pop() for _ in range(len(q))] == survivors
-
-
-@pytest.mark.parametrize("variant", VARIANTS)
-def test_cancel_of_never_pushed_entry_is_false(variant):
-    q = _queue(variant)
-    q.push((1.0, 1, 0, "real"))
-    assert q.cancel((1.0, 1, 99, "ghost")) is False
-    assert len(q) == 1
-
-
-# ------------------------------------------------------- peek family
-@pytest.mark.parametrize("variant", VARIANTS)
-def test_peek_and_peek_key(variant):
+def test_peek(variant):
     q = _queue(variant)
     assert q.peek() == float("inf")
-    assert q.peek_key() is None
     q.push((3.0, 1, 0, "later"))
     q.push((2.0, 0, 1, "sooner"))
     assert q.peek() == 2.0
-    assert q.peek_key() == (2.0, 0)
     assert q.pop()[3] == "sooner"
-    assert q.peek_key() == (3.0, 1)
+    assert q.peek() == 3.0
 
 
 # ------------------------------------------------- calendar internals

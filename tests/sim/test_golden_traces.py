@@ -4,10 +4,9 @@ The harness's whole caching/parallelism story rests on one contract:
 *same spec -> bit-identical run*, regardless of which execution path
 produced it.  These tests pin that contract at two levels:
 
-* **event level** — the optimized inlined event loop and the reference
-  one-``step()``-per-event loop dispatch the exact same event sequence
-  (digested as (time, priority, seq, event type) tuples) for seeded
-  BFS and PageRank runs;
+* **event level** — seeded BFS and PageRank runs dispatch the exact
+  event sequence (digested as (time, priority, seq, event type) tuples)
+  recorded in :data:`GOLDEN_TRACES`;
 * **result level** — the serial runner, the pooled runner, and a
   cache-hit replay of fixed seeded runs all produce the same
   :meth:`RunResult.digest`.
@@ -43,11 +42,10 @@ class TraceDigest:
         return self._hash.hexdigest()
 
 
-def _traced_run(app_factory, machine, config, reference: bool):
+def _traced_run(app_factory, machine, config):
     executor = AtosExecutor(machine, app_factory(), config)
     digest = TraceDigest()
     executor.env.trace_hook = digest
-    executor.env.reference_loop = reference
     makespan, counters = executor.run()
     return digest, makespan, dict(counters)
 
@@ -63,26 +61,41 @@ def _pagerank_app():
     return AtosPageRank(g, bfs_grow_partition(g, 2, seed=0), epsilon=1e-4)
 
 
-@pytest.mark.parametrize(
-    "app_factory,config",
-    [
-        (_bfs_app, AtosConfig(fetch_size=1)),
-        (_pagerank_app, AtosConfig()),
-    ],
-    ids=["bfs", "pagerank"],
-)
-def test_optimized_loop_matches_reference_loop(app_factory, config):
-    fast = _traced_run(app_factory, daisy(2), config, reference=False)
-    slow = _traced_run(app_factory, daisy(2), config, reference=True)
-    assert fast[0].n_events == slow[0].n_events > 0
-    assert fast[0].hexdigest() == slow[0].hexdigest()
-    assert fast[1] == slow[1]  # makespan
-    assert fast[2] == slow[2]  # counters
+#: (trace digest, events dispatched, makespan) of each cell, as the
+#: event loop dispatched them when the reference one-event-per-step
+#: loop and the cohort-batched loop still ran side by side and agreed
+#: on every cell.  The one loop must reproduce them exactly.
+GOLDEN_TRACES = {
+    "bfs": (
+        "cbfb1585587f976466cc96aba3b16127b1c4f765d365bc9260844c714d24171d",
+        25,
+        23.062620000000003,
+    ),
+    "pagerank": (
+        "892e082808cef5a989576f56fecb20318ee1db0d71c7fc14aa9b3031d02d9426",
+        1108,
+        70.87712000000002,
+    ),
+}
+
+TRACE_CELLS = {
+    "bfs": (_bfs_app, AtosConfig(fetch_size=1)),
+    "pagerank": (_pagerank_app, AtosConfig()),
+}
+
+
+@pytest.mark.parametrize("cell", list(GOLDEN_TRACES))
+def test_event_trace_matches_recorded_digest(cell):
+    app_factory, config = TRACE_CELLS[cell]
+    digest, makespan, _counters = _traced_run(app_factory, daisy(2), config)
+    assert (digest.hexdigest(), digest.n_events, makespan) == (
+        GOLDEN_TRACES[cell]
+    )
 
 
 def test_trace_digest_stable_across_repeats():
-    a = _traced_run(_bfs_app, daisy(2), AtosConfig(fetch_size=1), False)
-    b = _traced_run(_bfs_app, daisy(2), AtosConfig(fetch_size=1), False)
+    a = _traced_run(_bfs_app, daisy(2), AtosConfig(fetch_size=1))
+    b = _traced_run(_bfs_app, daisy(2), AtosConfig(fetch_size=1))
     assert a[0].hexdigest() == b[0].hexdigest()
 
 

@@ -148,12 +148,13 @@ def test_removed_fault_verbs_are_usage_errors(verb, capsys):
     ["tune", "--space", "space.json"], ["tune", "--searcher", "grid"],
     ["tune", "--budget", "8"], ["tune", "--objective", "makespan"],
     ["tune", "--journal", "j.ndjson"], ["tune", "--seed", "3"],
-    ["tune", "--preset", "fig4"],
+    ["tune", "--preset", "fig4"], ["report", "--utilization"],
 ], ids=" ".join)
 def test_removed_serve_surface_is_a_usage_error(argv, capsys):
     # The HTTP serving layer is gone; only its queueing self-model
-    # (`serve-validate`) remains, and `tune` is only the Fig-4 sweep,
-    # so argparse rejects the old verbs and flags.
+    # (`serve-validate`) remains, `tune` is only the Fig-4 sweep, and
+    # `report --utilization` was `repro profile`'s default cell, so
+    # argparse rejects the old verbs and flags.
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
